@@ -150,7 +150,7 @@ fn main() {
         &PipelineConfig::default(),
     );
     let score_s = t.elapsed().as_secs_f64();
-    let pairs_per_s = report.scored as f64 / score_s.max(1e-9);
+    let pairs_per_s = report.candidates as f64 / score_s.max(1e-9);
 
     let recall_pass = gate_recall >= REQUIRED_RECALL;
     let reduction_pass = gate_reduction >= required_reduction;
@@ -170,7 +170,7 @@ fn main() {
     );
     println!(
         "throughput : {} candidates scored in {score_s:.2}s ({pairs_per_s:.0} pairs/s, {} predicted matches)",
-        report.scored, report.predicted_matches
+        report.candidates, report.predicted_matches
     );
 
     let report_json = Json::obj([

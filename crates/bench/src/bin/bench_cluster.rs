@@ -10,7 +10,8 @@
 //!    truth partition;
 //! 2. **cluster F1** (exact-cluster match) ≥ [`REQUIRED_F1`];
 //! 3. **determinism** — byte-identical [`Partition`]s across two runs and
-//!    across 1/2/8 scoring workers;
+//!    across 1/2/8 scoring workers, each sweep run scoring cold through a
+//!    fresh cache;
 //! 4. **counterfactual** — the ψ-mask disconnect edit found for a member of
 //!    a multi-record entity must actually split it under re-clustering
 //!    ([`verify_disconnect`]).
@@ -20,7 +21,7 @@
 use certa_bench::{banner, write_bench_json, CliOptions};
 use certa_block::{Blocker, MultiPass};
 use certa_cluster::{
-    cluster_f1, find_disconnect_edit, pairwise_prf, run_cluster_pipeline_cached, truth_partition,
+    cluster_f1, find_disconnect_edit, pairwise_prf, run_cluster_pipeline, truth_partition,
     verify_disconnect, ClusterConfig, Clusterer, ConnectedComponents, MatchMerge, Partition,
 };
 use certa_core::BoxedMatcher;
@@ -60,7 +61,8 @@ fn main() {
     let kind = ModelKind::DeepMatcher;
     let t = Instant::now();
     let (model, _) = train_model(kind, &dataset, &TrainConfig::for_kind(kind));
-    let cache = CachingMatcher::new(Arc::new(model) as BoxedMatcher);
+    let model: BoxedMatcher = Arc::new(model);
+    let cache = CachingMatcher::new(Arc::clone(&model));
     println!(
         "model={} trained in {:.2}s · threshold={THRESHOLD}",
         kind.paper_name(),
@@ -72,22 +74,24 @@ fn main() {
     let mut rows = Vec::new();
     let mut all_pass = true;
     for clusterer in &clusterers {
-        let run = |workers: usize| {
-            run_cluster_pipeline_cached(
-                &dataset,
-                &cache,
-                &candidates,
-                blocker.name().to_string(),
-                clusterer.as_ref(),
-                &ClusterConfig {
-                    threshold: THRESHOLD,
-                    batch_size: 4096,
-                    workers,
-                },
-            )
+        let run = |cache: &CachingMatcher, workers: usize| {
+            cache.measure(|m| {
+                run_cluster_pipeline(
+                    &dataset,
+                    m,
+                    &candidates,
+                    blocker.name().to_string(),
+                    clusterer.as_ref(),
+                    &ClusterConfig {
+                        threshold: THRESHOLD,
+                        batch_size: 4096,
+                        workers,
+                    },
+                )
+            })
         };
         let t = Instant::now();
-        let report = run(opts.workers.unwrap_or(1));
+        let (report, _) = run(&cache, opts.workers.unwrap_or(1));
         let cluster_s = t.elapsed().as_secs_f64();
         let pairs_per_s = report.candidates as f64 / cluster_s.max(1e-9);
 
@@ -95,12 +99,16 @@ fn main() {
         let cf1 = cluster_f1(&report.partition, &truth);
 
         // Gate 3: byte-identical partitions across a re-run and across the
-        // scoring-worker sweep.
+        // scoring-worker sweep. Each sweep run gets a fresh cache, so its
+        // workers really call the model in parallel rather than reading the
+        // warm cache of an earlier run.
         let baseline = report.partition.to_bytes();
-        let determinism_pass = WORKER_SWEEP
-            .iter()
-            .all(|&w| run(w).partition.to_bytes() == baseline)
-            && run(opts.workers.unwrap_or(1)).partition.to_bytes() == baseline;
+        let (rerun, _) = run(&cache, opts.workers.unwrap_or(1));
+        let determinism_pass = rerun.partition.to_bytes() == baseline
+            && WORKER_SWEEP.iter().all(|&w| {
+                let (sweep, stats) = run(&CachingMatcher::new(Arc::clone(&model)), w);
+                stats.misses > 0 && sweep.partition.to_bytes() == baseline
+            });
 
         // Gate 4: a ψ-mask disconnect edit for some member of a
         // multi-record entity, verified by re-clustering the edited world.

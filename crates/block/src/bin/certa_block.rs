@@ -6,13 +6,13 @@
 //! ```
 //!
 //! The binary generates the two tables at the requested scale, runs the
-//! selected blocker, streams the candidates through a
+//! selected blocker, scores the candidates through a
 //! [`certa_models::CachingMatcher`]-wrapped model, and reports recall
 //! against the generator's ground truth, the reduction ratio, throughput,
 //! and (optionally) CERTA explanations for the top pairs.
 
 use certa_block::{
-    run_pipeline_cached, Blocker, LshBlocker, LshConfig, MultiPass, PipelineConfig, Shingle,
+    run_pipeline_on, Blocker, LshBlocker, LshConfig, MultiPass, PipelineConfig, Shingle,
     SortedNeighborhood, TokenOverlap, TokenPrefix,
 };
 use certa_core::hash::FxHashSet;
@@ -264,18 +264,20 @@ fn main() {
     let caching = CachingMatcher::new(matcher);
     let certa = (opts.explain > 0).then(|| Certa::new(CertaConfig::default()));
     let t2 = Instant::now();
-    let report = run_pipeline_cached(
-        candidates,
-        blocker.name(),
-        &dataset,
-        &caching,
-        certa.as_ref(),
-        &PipelineConfig {
-            batch_size: opts.batch,
-            top_k: opts.top,
-            explain_top: opts.explain,
-        },
-    );
+    let (report, stats) = caching.measure(|cache| {
+        run_pipeline_on(
+            candidates,
+            blocker.name(),
+            &dataset,
+            cache,
+            certa.as_ref(),
+            &PipelineConfig {
+                batch_size: opts.batch,
+                top_k: opts.top,
+                explain_top: opts.explain,
+            },
+        )
+    });
     let score_secs = t2.elapsed().as_secs_f64();
 
     println!();
@@ -290,8 +292,8 @@ fn main() {
     println!("block time    {block_secs:.2}s");
     println!(
         "score time    {score_secs:.2}s ({:.0} pairs/s, cache hit rate {:.2})",
-        report.scored as f64 / score_secs.max(1e-9),
-        report.cache.map_or(0.0, |s| s.hit_rate())
+        report.candidates as f64 / score_secs.max(1e-9),
+        stats.hit_rate()
     );
     println!("predicted     {} matches", report.predicted_matches);
     println!();

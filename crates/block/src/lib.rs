@@ -43,9 +43,7 @@ pub mod pipeline;
 pub use baselines::{SortedNeighborhood, TokenOverlap, TokenPrefix};
 pub use lsh::{LshBlocker, LshConfig};
 pub use minhash::{jaccard_sorted, MinHasher, Shingle};
-pub use pipeline::{
-    run_pipeline, run_pipeline_cached, run_pipeline_on, PipelineConfig, PipelineReport, ScoredPair,
-};
+pub use pipeline::{run_pipeline_on, score_candidates, PipelineConfig, PipelineReport, ScoredEdge};
 
 use certa_core::{RecordId, RecordPair, Table};
 

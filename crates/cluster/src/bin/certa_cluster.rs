@@ -16,8 +16,8 @@
 
 use certa_block::{Blocker, MultiPass};
 use certa_cluster::{
-    cluster_f1, explain_membership, pairwise_prf, run_cluster_pipeline_cached, truth_partition,
-    ClusterConfig, ClusterNode, Clusterer, ConnectedComponents, MatchMerge,
+    cluster_f1, clusterer_from_name, explain_membership, pairwise_prf, run_cluster_pipeline,
+    truth_partition, ClusterConfig, ClusterNode,
 };
 use certa_core::{BoxedMatcher, Dataset, RecordId, Side};
 use certa_datagen::{generate, DatasetId, Scale};
@@ -118,14 +118,6 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
     Ok(o)
 }
 
-fn build_clusterer(name: &str) -> Result<Box<dyn Clusterer>, String> {
-    match name {
-        "components" | "cc" => Ok(Box::new(ConnectedComponents)),
-        "matchmerge" | "swoosh" => Ok(Box::new(MatchMerge)),
-        other => Err(format!("unknown clusterer `{other}`\n{USAGE}")),
-    }
-}
-
 fn build_matcher(o: &Options, dataset: &Dataset) -> Result<BoxedMatcher, String> {
     if o.model == "rule" {
         return Ok(std::sync::Arc::new(RuleMatcher::uniform(
@@ -145,12 +137,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let clusterer = match build_clusterer(&opts.clusterer) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let Some(clusterer) = clusterer_from_name(&opts.clusterer) else {
+        eprintln!("unknown clusterer `{}`\n{USAGE}", opts.clusterer);
+        std::process::exit(2);
     };
 
     println!("=== certa-cluster ===");
@@ -182,18 +171,20 @@ fn main() {
     };
     let caching = CachingMatcher::new(matcher);
     let t2 = Instant::now();
-    let report = run_cluster_pipeline_cached(
-        &dataset,
-        &caching,
-        &candidates,
-        blocker.name(),
-        clusterer.as_ref(),
-        &ClusterConfig {
-            threshold: opts.threshold,
-            batch_size: opts.batch,
-            workers: opts.workers.max(1),
-        },
-    );
+    let (report, stats) = caching.measure(|cache| {
+        run_cluster_pipeline(
+            &dataset,
+            cache,
+            &candidates,
+            blocker.name(),
+            clusterer.as_ref(),
+            &ClusterConfig {
+                threshold: opts.threshold,
+                batch_size: opts.batch,
+                workers: opts.workers.max(1),
+            },
+        )
+    });
     let cluster_secs = t2.elapsed().as_secs_f64();
 
     let truth = truth_partition(&dataset);
@@ -220,13 +211,11 @@ fn main() {
     );
     println!("cluster F1    {exact:.4} (exact-match, vs seeded truth)");
     println!("block time    {block_secs:.2}s");
-    if let Some(stats) = report.cache {
-        println!(
-            "cluster time  {cluster_secs:.2}s ({:.0} pairs/s, cache hit rate {:.2})",
-            report.candidates as f64 / cluster_secs.max(1e-9),
-            stats.hit_rate()
-        );
-    }
+    println!(
+        "cluster time  {cluster_secs:.2}s ({:.0} pairs/s, cache hit rate {:.2})",
+        report.candidates as f64 / cluster_secs.max(1e-9),
+        stats.hit_rate()
+    );
 
     println!();
     println!("largest clusters:");

@@ -49,9 +49,7 @@ pub use explain::{
 pub use graph::{score_candidates, threshold_edges, ScoredEdge};
 pub use metrics::{cluster_f1, pairwise_prf, truth_partition, PairwiseScores};
 pub use partition::{ClusterNode, Partition};
-pub use pipeline::{
-    run_cluster_pipeline, run_cluster_pipeline_cached, ClusterConfig, ClusterReport,
-};
+pub use pipeline::{run_cluster_pipeline, ClusterConfig, ClusterReport};
 pub use swoosh::MatchMerge;
 pub use unionfind::{ConnectedComponents, UnionFind};
 
@@ -79,4 +77,38 @@ pub trait Clusterer: Send + Sync {
         edges: &[ScoredEdge],
         threshold: f64,
     ) -> Partition;
+}
+
+/// The clusterer a CLI flag or request field names, or `None` for an
+/// unknown name. Accepted: `components` / `connected-components` / `cc`
+/// ([`ConnectedComponents`]) and `matchmerge` / `match-merge` / `swoosh`
+/// ([`MatchMerge`]).
+pub fn clusterer_from_name(name: &str) -> Option<Box<dyn Clusterer>> {
+    match name {
+        "components" | "connected-components" | "cc" => Some(Box::new(ConnectedComponents)),
+        "matchmerge" | "match-merge" | "swoosh" => Some(Box::new(MatchMerge)),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clusterer_names_resolve() {
+        let table = [
+            ("components", Some("components")),
+            ("connected-components", Some("components")),
+            ("cc", Some("components")),
+            ("matchmerge", Some("matchmerge")),
+            ("match-merge", Some("matchmerge")),
+            ("swoosh", Some("matchmerge")),
+            ("nope", None),
+        ];
+        for (alias, expected) in table {
+            let resolved = clusterer_from_name(alias);
+            assert_eq!(resolved.as_ref().map(|c| c.name()), expected, "{alias}");
+        }
+    }
 }

@@ -5,16 +5,13 @@
 //! [`certa_block::Blocker`] produced, scores it through the matcher's batch
 //! path (fan out with `cfg.workers`; output is identical for every worker
 //! count), thresholds the scores into match edges, and hands them to a
-//! [`Clusterer`]. [`run_cluster_pipeline_cached`] is the same but reads the
-//! [`CachingMatcher`]'s hit/miss delta into the report, so repeated runs
-//! (re-clustering at a new threshold, serving the same model twice) show
-//! their score-cache reuse.
+//! [`Clusterer`]. To see a run's score-cache reuse, run it inside
+//! [`certa_models::CachingMatcher::measure`].
 
 use crate::graph::{score_candidates, threshold_edges, ScoredEdge};
 use crate::partition::Partition;
 use crate::Clusterer;
 use certa_core::{Dataset, Matcher, RecordPair};
-use certa_models::{CacheStats, CachingMatcher};
 
 /// Tuning knobs for the cluster pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,9 +52,6 @@ pub struct ClusterReport {
     pub match_edges: Vec<ScoredEdge>,
     /// The resolved entities.
     pub partition: Partition,
-    /// Score-cache traffic attributable to this run (present on the
-    /// [`run_cluster_pipeline_cached`] path).
-    pub cache: Option<CacheStats>,
 }
 
 impl ClusterReport {
@@ -98,29 +92,7 @@ pub fn run_cluster_pipeline(
         scored,
         match_edges,
         partition,
-        cache: None,
     }
-}
-
-/// [`run_cluster_pipeline`] through a [`CachingMatcher`], with the cache
-/// hit/miss delta of exactly this run surfaced in the report.
-pub fn run_cluster_pipeline_cached(
-    dataset: &Dataset,
-    cache: &CachingMatcher,
-    candidates: &[RecordPair],
-    blocker_name: String,
-    clusterer: &dyn Clusterer,
-    cfg: &ClusterConfig,
-) -> ClusterReport {
-    let before = cache.stats();
-    let mut report =
-        run_cluster_pipeline(dataset, &cache, candidates, blocker_name, clusterer, cfg);
-    let after = cache.stats();
-    report.cache = Some(CacheStats {
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-    });
-    report
 }
 
 #[cfg(test)]
@@ -187,7 +159,6 @@ mod tests {
         assert_eq!(report.clusters(), 3);
         assert_eq!(report.non_singletons(), 2);
         assert_eq!(report.largest(), 3);
-        assert!(report.cache.is_none());
         let c = report.partition.cluster_of(ClusterNode::left(0)).unwrap();
         assert_eq!(
             report.partition.members(c),
@@ -197,41 +168,6 @@ mod tests {
                 ClusterNode::right(1),
             ]
         );
-    }
-
-    #[test]
-    fn cached_path_reports_reuse() {
-        let d = dataset();
-        let cache = CachingMatcher::new(matcher());
-        let cfg = ClusterConfig::default();
-        let first = run_cluster_pipeline_cached(
-            &d,
-            &cache,
-            &all_pairs(),
-            "all-pairs".to_string(),
-            &ConnectedComponents,
-            &cfg,
-        );
-        let stats = first.cache.expect("cached path reports stats");
-        assert_eq!(stats.misses, 9, "cold cache scores every pair");
-        assert_eq!(stats.hits, 0);
-        // Second run at a different threshold: pure cache reuse.
-        let second = run_cluster_pipeline_cached(
-            &d,
-            &cache,
-            &all_pairs(),
-            "all-pairs".to_string(),
-            &ConnectedComponents,
-            &ClusterConfig {
-                threshold: 0.95,
-                ..cfg
-            },
-        );
-        let stats = second.cache.expect("cached path reports stats");
-        assert_eq!(stats.misses, 0);
-        assert_eq!(stats.hits, 9, "warm cache serves the re-run");
-        assert_eq!(second.match_edges.len(), 0, "0.95 keeps nothing");
-        assert_eq!(second.clusters(), 6, "all singletons");
     }
 
     #[test]

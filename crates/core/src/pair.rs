@@ -1,7 +1,6 @@
 //! Record pairs, match labels, and side designators.
 
 use crate::record::RecordId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which source a record (or attribute) belongs to.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The paper's saliency explanations cover `A_U ∪ A_V`; a `(Side, AttrId)`
 /// pair addresses one attribute in that union. Open triangles are likewise
 /// `Left` (support from `U`) or `Right` (support from `V`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Side {
     /// The `U` table (the paper's left/free side for left triangles).
     Left,
@@ -42,7 +41,7 @@ impl fmt::Display for Side {
 }
 
 /// A candidate pair `(u, v) ∈ U × V`, referenced by record ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecordPair {
     /// Id of the `U`-side record.
     pub left: RecordId,
@@ -72,7 +71,7 @@ impl fmt::Display for RecordPair {
 }
 
 /// Ground-truth or predicted match status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchLabel {
     /// The records refer to the same entity (`E+`).
     Match,
@@ -124,7 +123,7 @@ impl fmt::Display for MatchLabel {
 }
 
 /// A pair with its ground-truth label, as found in train/test splits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabeledPair {
     /// The candidate pair.
     pub pair: RecordPair,

@@ -10,7 +10,6 @@
 use crate::hash::FxHasher;
 use crate::schema::{AttrId, Schema};
 use crate::value::AttrValue;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hasher;
 
@@ -19,7 +18,7 @@ use std::hash::Hasher;
 /// Perturbed copies created by the explainers are *synthetic* and keep the id
 /// of the free record they derive from; identity for caching purposes is the
 /// [`Record::content_hash`], never the id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u32);
 
 impl fmt::Display for RecordId {
@@ -32,7 +31,7 @@ impl fmt::Display for RecordId {
 ///
 /// Missing values (the `NaN` cells of Figure 1) are represented by empty
 /// strings; [`Record::is_missing`] reports them.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     id: RecordId,
     values: Vec<AttrValue>,

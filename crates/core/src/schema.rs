@@ -1,7 +1,6 @@
 //! Schemas: ordered, named attribute lists for one side of an ER task.
 
 use crate::error::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ use std::sync::Arc;
 ///
 /// The paper's lattices are built over subsets of one side's attributes; a
 /// compact `u16` index keeps subset bitmasks and per-attribute arrays cheap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrId(pub u16);
 
 impl AttrId {
@@ -31,7 +30,7 @@ impl fmt::Display for AttrId {
 /// `U` and `V` may have different schemas (§3); e.g. Abt's
 /// `{Name, Description, Price}` vs Buy's `{Name, Description, Price}` in
 /// Figure 1, or entirely different attribute sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     name: String,
     attrs: Vec<String>,

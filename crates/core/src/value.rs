@@ -39,9 +39,9 @@
 //! Everything cached here ([`AttrValue::cleaned`], token spans,
 //! [`AttrValue::content_hash`]) is a pure function of the string content, so
 //! records built from raw strings and records assembled from interned handles
-//! are indistinguishable: equal `Display`/`Debug` output, equal `Hash`, equal
-//! serde encoding, and equal [`crate::Record::content_hash`]. Property tests
-//! in `tests/value_props.rs` pin this.
+//! are indistinguishable: equal `Display`/`Debug` output, equal `Hash`, and
+//! equal [`crate::Record::content_hash`]. Property tests in
+//! `tests/value_props.rs` pin this.
 
 use crate::hash::{fx_hash_one, FxHashSet};
 use crate::tokens;

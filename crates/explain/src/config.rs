@@ -1,10 +1,8 @@
 //! CERTA configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunables of the CERTA algorithm (defaults follow §5.3: τ = 100,
 /// augmentation on, monotone inference on).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CertaConfig {
     /// Total number of open triangles τ (τ/2 per side).
     pub num_triangles: usize,

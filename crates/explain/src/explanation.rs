@@ -1,11 +1,10 @@
 //! Explanation types shared by CERTA and every baseline explainer.
 
 use certa_core::{AttrId, Dataset, Matcher, Record, Side};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An attribute in the union schema `A_U ∪ A_V`: side plus position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrRef {
     /// Which source the attribute belongs to.
     pub side: Side,
@@ -37,7 +36,7 @@ impl fmt::Display for AttrRef {
 /// A saliency explanation: one importance score per attribute of `A_U ∪ A_V`
 /// (§3.1). Scores are non-negative; for CERTA they are probabilities of
 /// necessity in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaliencyExplanation {
     left: Vec<f64>,
     right: Vec<f64>,

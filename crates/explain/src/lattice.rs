@@ -7,8 +7,6 @@
 //! and the full set is, per footnote 2, *not tested* — it can only be tagged
 //! through monotone inference, unless [`ExploreMode`] requests otherwise.
 
-use serde::{Deserialize, Serialize};
-
 /// An attribute subset as a bitmask (bit `i` = attribute `i`).
 pub type AttrMask = u32;
 
@@ -44,7 +42,7 @@ pub enum ExploreMode {
 }
 
 /// How a node's tag was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// The model was called on the node's perturbation.
     Tested,
@@ -139,7 +137,7 @@ impl Exploration {
 }
 
 /// Prediction-count accounting for one lattice (Table 7's columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatticeStats {
     /// Attribute count.
     pub arity: usize,

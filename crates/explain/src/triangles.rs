@@ -14,7 +14,6 @@ use certa_core::{Dataset, MatchLabel, Matcher, Record, Side};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One open triangle: the side it was built on and the support record.
 ///
@@ -32,7 +31,7 @@ pub struct OpenTriangle {
 }
 
 /// Supply statistics for the Table 8 experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TriangleStats {
     /// Natural triangles found by scanning the tables.
     pub natural: usize,

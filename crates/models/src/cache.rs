@@ -102,6 +102,22 @@ impl CachingMatcher {
         }
     }
 
+    /// Run `f` against this cache and return its result together with the
+    /// hit/miss traffic counted while it ran — so a repeated run (a second
+    /// `/v1/block` request, a re-cluster at a new threshold) shows its
+    /// score-cache reuse. Other threads scoring through the same cache
+    /// meanwhile are counted too.
+    pub fn measure<T>(&self, f: impl FnOnce(&Self) -> T) -> (T, CacheStats) {
+        let start = self.stats();
+        let out = f(self);
+        let end = self.stats();
+        let delta = CacheStats {
+            hits: end.hits - start.hits,
+            misses: end.misses - start.misses,
+        };
+        (out, delta)
+    }
+
     fn shard_of(key: Key) -> usize {
         // Content hashes are already well-mixed FxHash outputs; xor-fold the
         // pair and mask down to the shard index.
@@ -480,6 +496,23 @@ mod tests {
         assert_eq!(cached.stats().total(), 5);
         cached.score(&u, &v);
         assert_eq!(cached.stats(), CacheStats { hits: 3, misses: 3 });
+    }
+
+    #[test]
+    fn measure_reports_the_delta_of_one_run() {
+        let (base, _) = counted_base();
+        let cached = CachingMatcher::new(base);
+        let v = rec(1, "x");
+        let records: Vec<Record> = (0..5).map(|i| rec(i, &format!("match {i}"))).collect();
+        let pairs: Vec<(&Record, &Record)> = records.iter().map(|u| (u, &v)).collect();
+        // Traffic before a measured run stays out of its delta.
+        cached.score(&rec(9, "earlier"), &v);
+        let (cold, stats) = cached.measure(|m| m.score_batch(&pairs));
+        assert_eq!(stats, CacheStats { hits: 0, misses: 5 }, "cold run");
+        let (warm, stats) = cached.measure(|m| m.score_batch(&pairs));
+        assert_eq!(stats, CacheStats { hits: 5, misses: 0 }, "warm rerun");
+        assert_eq!(cold, warm);
+        assert_eq!(cached.stats(), CacheStats { hits: 5, misses: 6 });
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::ops::{Route, ServerMetrics};
 use crate::state::{ModelEntry, Registry};
 use crate::wire::{dto, Json, PairDto};
 use certa_core::{Matcher, Prediction, Record, Side};
+use certa_models::CacheStats;
 use std::sync::Arc;
 
 /// Route a parsed request. Never panics; never returns a non-JSON error
@@ -328,18 +329,20 @@ fn block(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
     let candidates = blocker.candidates(entry.dataset.left(), entry.dataset.right());
     registry.record_block(candidates.len());
     let certa = (params.explain_top > 0).then_some(&entry.certa);
-    let report = certa_block::run_pipeline_cached(
-        candidates,
-        blocker.name(),
-        &entry.dataset,
-        &entry.cache,
-        certa,
-        &certa_block::PipelineConfig {
-            top_k: params.top,
-            explain_top: params.explain_top,
-            ..certa_block::PipelineConfig::default()
-        },
-    );
+    let (report, stats) = entry.cache.measure(|cache| {
+        certa_block::run_pipeline_on(
+            candidates,
+            blocker.name(),
+            &entry.dataset,
+            cache,
+            certa,
+            &certa_block::PipelineConfig {
+                top_k: params.top,
+                explain_top: params.explain_top,
+                ..certa_block::PipelineConfig::default()
+            },
+        )
+    });
     let top: Vec<Json> = report
         .top
         .iter()
@@ -374,17 +377,7 @@ fn block(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
         ),
         ("top", Json::Arr(top)),
         ("explanations", Json::Arr(explanations)),
-        (
-            "cache",
-            match report.cache {
-                Some(stats) => Json::obj([
-                    ("hits", Json::num(stats.hits as f64)),
-                    ("misses", Json::num(stats.misses as f64)),
-                    ("hit_rate", Json::Num(stats.hit_rate())),
-                ]),
-                None => Json::Null,
-            },
-        ),
+        ("cache", cache_to_json(stats)),
     ]);
     ok_json(&payload)
 }
@@ -475,17 +468,25 @@ impl ClusterParams {
     }
 
     fn build_clusterer(&self) -> Result<Box<dyn certa_cluster::Clusterer>, HttpError> {
-        match self.clusterer.as_str() {
-            "components" | "connected-components" | "cc" => {
-                Ok(Box::new(certa_cluster::ConnectedComponents))
-            }
-            "matchmerge" | "match-merge" | "swoosh" => Ok(Box::new(certa_cluster::MatchMerge)),
-            other => Err(HttpError::bad_request(
+        certa_cluster::clusterer_from_name(&self.clusterer).ok_or_else(|| {
+            HttpError::bad_request(
                 "bad_clusterer",
-                format!("unknown clusterer `{other}` (expected components or matchmerge)"),
-            )),
-        }
+                format!(
+                    "unknown clusterer `{}` (expected components or matchmerge)",
+                    self.clusterer
+                ),
+            )
+        })
     }
+}
+
+/// One run's score-cache traffic as the `"cache"` wire object.
+fn cache_to_json(stats: CacheStats) -> Json {
+    Json::obj([
+        ("hits", Json::num(stats.hits as f64)),
+        ("misses", Json::num(stats.misses as f64)),
+        ("hit_rate", Json::Num(stats.hit_rate())),
+    ])
 }
 
 /// A side-qualified cluster member as a wire object.
@@ -522,18 +523,20 @@ fn cluster(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
     let clusterer = params.build_clusterer()?;
     let entry = registry.resolve(&model)?;
     let candidates = blocker.candidates(entry.dataset.left(), entry.dataset.right());
-    let report = certa_cluster::run_cluster_pipeline_cached(
-        &entry.dataset,
-        &entry.cache,
-        &candidates,
-        blocker.name().to_string(),
-        clusterer.as_ref(),
-        &certa_cluster::ClusterConfig {
-            threshold: params.threshold,
-            batch_size: params.batch,
-            workers: params.workers,
-        },
-    );
+    let (report, stats) = entry.cache.measure(|cache| {
+        certa_cluster::run_cluster_pipeline(
+            &entry.dataset,
+            cache,
+            &candidates,
+            blocker.name().to_string(),
+            clusterer.as_ref(),
+            &certa_cluster::ClusterConfig {
+                threshold: params.threshold,
+                batch_size: params.batch,
+                workers: params.workers,
+            },
+        )
+    });
     let partition = Arc::new(report.partition.clone());
     registry.record_cluster(
         &entry,
@@ -577,17 +580,7 @@ fn cluster(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
         ("non_singletons", Json::num(report.non_singletons() as f64)),
         ("largest", Json::num(report.largest() as f64)),
         ("top", Json::Arr(top)),
-        (
-            "cache",
-            match report.cache {
-                Some(stats) => Json::obj([
-                    ("hits", Json::num(stats.hits as f64)),
-                    ("misses", Json::num(stats.misses as f64)),
-                    ("hit_rate", Json::Num(stats.hit_rate())),
-                ]),
-                None => Json::Null,
-            },
-        ),
+        ("cache", cache_to_json(stats)),
     ]);
     ok_json(&payload)
 }
@@ -1260,27 +1253,21 @@ mod tests {
 
     #[test]
     fn cluster_workers_do_not_change_the_bytes() {
-        let registry = registry();
         let one = r#"{"model":"FZ/Ditto","workers":1}"#;
         let four = r#"{"model":"FZ/Ditto","workers":4,"batch":3}"#;
-        let (_, a) = go(&registry, &req("POST", "/v1/cluster", one));
-        let (_, b) = go(&registry, &req("POST", "/v1/cluster", four));
+        // Each request goes to its own fresh registry, so both runs score
+        // every pair cold — the 4-worker run really scores in parallel
+        // instead of reading the first run's warm cache, and even the
+        // `"cache"` object must agree.
+        let (_, a) = go(&registry(), &req("POST", "/v1/cluster", one));
+        let (_, b) = go(&registry(), &req("POST", "/v1/cluster", four));
         assert_eq!(a.status, 200);
-        // The cache line differs between a cold and a warm run; everything
-        // partition-shaped must not. Compare through the parsed documents.
-        let (a, b) = (parse_response(&a), parse_response(&b));
-        for field in [
-            "clusterer",
-            "threshold",
-            "candidates",
-            "match_edges",
-            "entities",
-            "non_singletons",
-            "largest",
-            "top",
-        ] {
-            assert_eq!(a.get(field), b.get(field), "{field}");
-        }
+        let cache = parse_response(&a).get("cache").unwrap().clone();
+        assert!(cache.get("misses").unwrap().as_num().unwrap() > 0.0, "cold");
+        assert_eq!(
+            String::from_utf8_lossy(&a.body),
+            String::from_utf8_lossy(&b.body)
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A zero-dependency JSON value model with a serializer and a parser.
 //!
-//! Nothing else in the workspace can emit JSON (the vendored `serde` shim
-//! only provides derive markers), so the wire format is hand-rolled here.
+//! Nothing else in the workspace can emit JSON (there is no serde), so the
+//! wire format is hand-rolled here.
 //! Design points:
 //!
 //! * **Deterministic bytes.** Objects preserve insertion order (they are
