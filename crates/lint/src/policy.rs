@@ -7,8 +7,9 @@
 //!
 //! The default policy encodes the repo's documented contracts:
 //!
-//! - the serve request path and the store decoder are panic-free
-//!   (`no-panic-path`);
+//! - the serve request path, the store decoder, and the kernels scoring
+//!   runs on (the ml kernels and batch layout, the trigram kernel) are
+//!   panic-free (`no-panic-path`);
 //! - everything that feeds serialized/wire output iterates in pinned
 //!   order (`no-unordered-iteration`);
 //! - scoring, featurization, and serialization are pure functions of
@@ -57,6 +58,9 @@ impl Default for Policy {
                         // a scoring worker, so they carry the same contract.
                         "crates/ml/src/kernels.rs",
                         "crates/ml/src/batch.rs",
+                        // The trigram kernel runs inside every DeepMatcher
+                        // and Ditto score, served ones included.
+                        "crates/text/src/ngram.rs",
                     ],
                     exclude: BIN_EXCLUDES,
                 },
@@ -247,7 +251,11 @@ mod tests {
         let reactor = p.rules_for("crates/serve/src/reactor.rs");
         assert!(reactor.contains(&("no-panic-path", Level::Deny)));
         assert!(reactor.contains(&("no-nondeterminism", Level::Deny)));
-        for file in ["crates/ml/src/kernels.rs", "crates/ml/src/batch.rs"] {
+        for file in [
+            "crates/ml/src/kernels.rs",
+            "crates/ml/src/batch.rs",
+            "crates/text/src/ngram.rs",
+        ] {
             let rules = p.rules_for(file);
             assert!(rules.contains(&("no-panic-path", Level::Deny)), "{file}");
             assert!(
@@ -255,10 +263,13 @@ mod tests {
                 "{file}"
             );
         }
-        // The rest of certa-ml keeps determinism-only coverage.
-        assert!(!p
-            .rules_for("crates/ml/src/mlp.rs")
-            .contains(&("no-panic-path", Level::Deny)));
+        // The rest of certa-ml and certa-text keeps its earlier scopes.
+        for file in ["crates/ml/src/mlp.rs", "crates/text/src/jaro.rs"] {
+            assert!(
+                !p.rules_for(file).contains(&("no-panic-path", Level::Deny)),
+                "{file}"
+            );
+        }
     }
 
     #[test]
