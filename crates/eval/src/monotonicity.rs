@@ -8,10 +8,9 @@
 //! exhaustive tags are errors; the paper reports
 //! `error rate = wrong inferences / saved predictions` per lattice.
 
-use certa_core::{Dataset, LabeledPair, MatchLabel, Matcher, Side};
+use certa_core::{Dataset, LabeledPair, Matcher, Side};
 use certa_explain::lattice::{explore, ExploreMode, Provenance};
-use certa_explain::perturb::perturb;
-use certa_explain::{find_triangles, CertaConfig};
+use certa_explain::{find_triangles, psi_level_flips, CertaConfig};
 
 /// Averaged per-lattice accounting for one dataset (one Table 7 row).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,20 +48,13 @@ pub fn audit(
         let y = matcher.predict(u, v);
         let (triangles, _) = find_triangles(matcher, dataset, u, v, y, cfg);
         for t in &triangles {
-            let free = match t.side {
-                Side::Left => u,
-                Side::Right => v,
+            let free_arity = match t.side {
+                Side::Left => u.arity(),
+                Side::Right => v.arity(),
             };
-            let test = |mask| {
-                let perturbed = perturb(free, &t.support, mask);
-                let score = match t.side {
-                    Side::Left => matcher.score(&perturbed, v),
-                    Side::Right => matcher.score(u, &perturbed),
-                };
-                MatchLabel::from_score(score) != y
-            };
-            let mono = explore(free.arity(), ExploreMode::Monotone, false, test);
-            let truth = explore(free.arity(), ExploreMode::Exhaustive, false, test);
+            let test = |masks: &[_]| psi_level_flips(matcher, u, v, t, y, masks);
+            let mono = explore(free_arity, ExploreMode::Monotone, false, test);
+            let truth = explore(free_arity, ExploreMode::Exhaustive, false, test);
 
             let stats = mono.stats();
             let mut wrong = 0usize;

@@ -6,7 +6,7 @@ use crate::explanation::{
     AttrRef, CounterfactualExample, CounterfactualExplainer, CounterfactualExplanation,
     SaliencyExplainer, SaliencyExplanation,
 };
-use crate::lattice::{explore, mask_attrs, ExploreMode, LatticeStats};
+use crate::lattice::{explore, mask_attrs, AttrMask, ExploreMode, LatticeStats};
 use crate::perturb::perturb;
 use crate::saliency::NecessityCounter;
 use crate::triangles::{find_triangles, OpenTriangle, TriangleStats};
@@ -147,8 +147,8 @@ impl Certa {
         })
     }
 
-    /// Explore one triangle's lattice, scoring perturbed copies through the
-    /// black-box matcher.
+    /// Explore one triangle's lattice, scoring each level's perturbed
+    /// copies through the black-box matcher in one batch.
     fn explore_triangle(
         &self,
         matcher: &dyn Matcher,
@@ -157,11 +157,10 @@ impl Certa {
         t: &OpenTriangle,
         y: MatchLabel,
     ) -> crate::lattice::Exploration {
-        let free = match t.side {
-            Side::Left => u,
-            Side::Right => v,
+        let arity = match t.side {
+            Side::Left => u.arity(),
+            Side::Right => v.arity(),
         };
-        let arity = free.arity();
         let mode = if self.config.monotone {
             ExploreMode::Monotone
         } else {
@@ -170,13 +169,8 @@ impl Certa {
         // Degenerate single-attribute schemas have only the full set — test
         // it regardless of footnote 2 or nothing would ever be explored.
         let test_full = self.config.test_full_set || arity == 1;
-        explore(arity, mode, test_full, |mask| {
-            let perturbed = perturb(free, &t.support, mask);
-            let score = match t.side {
-                Side::Left => matcher.score(&perturbed, v),
-                Side::Right => matcher.score(u, &perturbed),
-            };
-            MatchLabel::from_score(score) != y
+        explore(arity, mode, test_full, |masks| {
+            psi_level_flips(matcher, u, v, t, y, masks)
         })
     }
 
@@ -192,7 +186,7 @@ impl Certa {
         triangles: &[OpenTriangle],
         y: MatchLabel,
         side: Side,
-        mask: crate::lattice::AttrMask,
+        mask: AttrMask,
         chi: f64,
     ) -> CounterfactualExplanation {
         let golden_set: Vec<AttrRef> = mask_attrs(mask)
@@ -239,12 +233,52 @@ impl Certa {
             ranked.truncate(self.config.max_examples);
             examples = ranked.into_iter().map(|(_, ex)| ex).collect();
         }
+        // The collect above reuses the ranking's buffer, sized for every
+        // flip found; an explanation outlives this call, so keep only what
+        // it holds.
+        examples.shrink_to_fit();
         CounterfactualExplanation {
             examples,
             golden_set,
             sufficiency: chi,
         }
     }
+}
+
+/// The ψ oracle of one triangle's lattice (Algorithm 1, lines 9–17): for
+/// each mask of `masks`, copy the support's values for those attributes into
+/// the triangle's free record, score every copy against the unchanged pivot
+/// in one [`Matcher::score_batch`] call, and report whether its label
+/// differs from `y`. Tags come back in `masks` order, as
+/// [`explore`] expects from its oracle.
+pub fn psi_level_flips(
+    matcher: &dyn Matcher,
+    u: &Record,
+    v: &Record,
+    t: &OpenTriangle,
+    y: MatchLabel,
+    masks: &[AttrMask],
+) -> Vec<bool> {
+    let free = match t.side {
+        Side::Left => u,
+        Side::Right => v,
+    };
+    let copies: Vec<Record> = masks
+        .iter()
+        .map(|&mask| perturb(free, &t.support, mask))
+        .collect();
+    let pairs: Vec<(&Record, &Record)> = copies
+        .iter()
+        .map(|copy| match t.side {
+            Side::Left => (copy, v),
+            Side::Right => (u, copy),
+        })
+        .collect();
+    matcher
+        .score_batch(&pairs)
+        .into_iter()
+        .map(|score| MatchLabel::from_score(score) != y)
+        .collect()
 }
 
 /// Mean probability of necessity — the Figure 11(b) statistic.
@@ -566,6 +600,10 @@ mod tests {
         });
         let exp = capped.explain(&m, &d, u, v);
         assert!(exp.counterfactual.examples.len() <= 2);
+        assert!(
+            exp.counterfactual.examples.capacity() <= 2,
+            "a kept explanation holds no spare example slots"
+        );
         for ex in &exp.counterfactual.examples {
             assert!(ex.score <= 0.5, "capped examples still flip");
         }

@@ -5,7 +5,13 @@
 //! of Figure 8 for arity 3 has nodes `0b001 … 0b111`. The empty set is always
 //! tagged non-flip (γ(∅) = 0 by definition: copying nothing changes nothing)
 //! and the full set is, per footnote 2, *not tested* — it can only be tagged
-//! through monotone inference, unless [`ExploreMode`] requests otherwise.
+//! through monotone inference, unless the caller asks for it.
+//!
+//! [`explore`] visits the lattice one level (one subset size) at a time and
+//! hands its oracle every still-untagged mask of the level in one batch, so
+//! a model can score a whole level of perturbed copies together. Batching a
+//! level changes nothing: monotone inference only tags strict supersets,
+//! which lie on higher levels, so no tag within a level depends on another.
 
 /// An attribute subset as a bitmask (bit `i` = attribute `i`).
 pub type AttrMask = u32;
@@ -53,7 +59,7 @@ pub enum Provenance {
 }
 
 /// The outcome of exploring one triangle's lattice.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exploration {
     arity: usize,
     /// Flip tag per mask (`true` = prediction flipped). Index = mask.
@@ -159,20 +165,27 @@ impl LatticeStats {
     }
 }
 
-/// Explore the lattice over `arity` attributes, calling `test(mask)` for the
-/// perturbation of each visited subset; `test` returns whether the
-/// prediction flipped.
+/// Explore the lattice over `arity` attributes. `test` receives the masks
+/// of one level that still need a model call and returns, in the same
+/// order, whether each one's perturbation flipped the prediction.
 ///
-/// Visits proceed bottom-up in breadth-first (level) order, smaller masks
-/// first within a level — matching §4's description and making exploration
-/// deterministic. In [`ExploreMode::Monotone`], a tested flip is propagated
-/// to all supersets as [`Provenance::Inferred`]. The full set is tested only
-/// when `test_full_set` is true (and never inferred *from*, only *to*).
+/// Levels are visited bottom-up (breadth-first, as §4 describes), and each
+/// batch lists its masks in ascending order, so exploration is
+/// deterministic. A level whose masks are all tagged already is skipped
+/// without a call. In [`ExploreMode::Monotone`], a tested flip is
+/// propagated to all supersets as [`Provenance::Inferred`]; they sit on
+/// higher levels, so they drop out of later batches. The full set is tested
+/// only when `test_full_set` is true (and never inferred *from*, only
+/// *to*).
+///
+/// # Panics
+/// Panics when `arity` is 0 or above [`MAX_ARITY`], or when `test` returns
+/// a different number of tags than it was given masks.
 pub fn explore(
     arity: usize,
     mode: ExploreMode,
     test_full_set: bool,
-    mut test: impl FnMut(AttrMask) -> bool,
+    mut test: impl FnMut(&[AttrMask]) -> Vec<bool>,
 ) -> Exploration {
     assert!(arity >= 1, "lattice needs at least one attribute");
     assert!(arity <= MAX_ARITY, "arity {arity} exceeds mask capacity");
@@ -182,22 +195,24 @@ pub fn explore(
     let mut provenance = vec![Provenance::Skipped; n_nodes];
     provenance[0] = Provenance::Tested; // ∅: trivially non-flip, free.
 
-    // Masks in (level, value) order.
-    let mut order: Vec<AttrMask> = (1..=full).collect();
-    order.sort_by_key(|&m| (mask_len(m), m));
-
-    for &mask in &order {
-        if provenance[mask as usize] == Provenance::Inferred {
-            continue; // already known to flip
+    let mut batch = Vec::new();
+    for level in 1..=arity {
+        batch.clear();
+        batch.extend(level_masks(arity, level).filter(|&mask| {
+            // Inferred: already known to flip. Footnote 2: never test the top.
+            provenance[mask as usize] != Provenance::Inferred && (mask != full || test_full_set)
+        }));
+        if batch.is_empty() {
+            continue;
         }
-        if mask == full && !test_full_set {
-            continue; // footnote 2: never test the top
-        }
-        let flipped = test(mask);
-        tags[mask as usize] = flipped;
-        provenance[mask as usize] = Provenance::Tested;
-        if flipped && mode == ExploreMode::Monotone {
-            propagate_up(mask, full, &mut tags, &mut provenance);
+        let flips = test(&batch);
+        assert_eq!(flips.len(), batch.len(), "one tag per tested mask");
+        for (&mask, &flipped) in batch.iter().zip(&flips) {
+            tags[mask as usize] = flipped;
+            provenance[mask as usize] = Provenance::Tested;
+            if flipped && mode == ExploreMode::Monotone {
+                propagate_up(mask, full, &mut tags, &mut provenance);
+            }
         }
     }
     Exploration {
@@ -205,6 +220,21 @@ pub fn explore(
         tags,
         provenance,
     }
+}
+
+/// The masks over `arity` attributes with exactly `level` bits set, in
+/// ascending order (Gosper's next-permutation-of-bits step).
+fn level_masks(arity: usize, level: usize) -> impl Iterator<Item = AttrMask> {
+    let full = (1u64 << arity) - 1;
+    let mut next = Some((1u64 << level) - 1);
+    std::iter::from_fn(move || {
+        let mask = next?;
+        let low = mask & mask.wrapping_neg();
+        let ripple = mask + low;
+        let following = (((ripple ^ mask) >> 2) / low) | ripple;
+        next = (following <= full).then_some(following);
+        Some(mask as AttrMask)
+    })
 }
 
 /// Tag every proper superset of `mask` as an inferred flip.
@@ -224,7 +254,50 @@ fn propagate_up(mask: AttrMask, full: AttrMask, tags: &mut [bool], provenance: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certa_core::hash::FxHashSet;
+    use certa_core::hash::{fx_hash_one, FxHashSet};
+    use proptest::prelude::*;
+
+    /// A level oracle that asks `flip` about each mask of the batch.
+    fn by_mask(mut flip: impl FnMut(AttrMask) -> bool) -> impl FnMut(&[AttrMask]) -> Vec<bool> {
+        move |level| level.iter().map(|&m| flip(m)).collect()
+    }
+
+    /// Reference explorer: the per-mask loop, one oracle call per mask in
+    /// (level, value) order over all `2^l − 1` sorted masks. The batched
+    /// [`explore`] must agree with it exactly.
+    fn explore_reference(
+        arity: usize,
+        mode: ExploreMode,
+        test_full_set: bool,
+        mut test: impl FnMut(AttrMask) -> bool,
+    ) -> Exploration {
+        let full: AttrMask = ((1u64 << arity) - 1) as AttrMask;
+        let n_nodes = (full as usize) + 1;
+        let mut tags = vec![false; n_nodes];
+        let mut provenance = vec![Provenance::Skipped; n_nodes];
+        provenance[0] = Provenance::Tested;
+        let mut order: Vec<AttrMask> = (1..=full).collect();
+        order.sort_by_key(|&m| (mask_len(m), m));
+        for &mask in &order {
+            if provenance[mask as usize] == Provenance::Inferred {
+                continue;
+            }
+            if mask == full && !test_full_set {
+                continue;
+            }
+            let flipped = test(mask);
+            tags[mask as usize] = flipped;
+            provenance[mask as usize] = Provenance::Tested;
+            if flipped && mode == ExploreMode::Monotone {
+                propagate_up(mask, full, &mut tags, &mut provenance);
+            }
+        }
+        Exploration {
+            arity,
+            tags,
+            provenance,
+        }
+    }
 
     /// The Figure 8 scenario: every subset flips except {Price} alone.
     fn fig8_test(mask: AttrMask) -> bool {
@@ -242,10 +315,15 @@ mod tests {
     #[test]
     fn figure8_monotone_exploration() {
         let mut calls = Vec::new();
-        let exp = explore(3, ExploreMode::Monotone, false, |m| {
-            calls.push(m);
-            fig8_test(m)
-        });
+        let exp = explore(
+            3,
+            ExploreMode::Monotone,
+            false,
+            by_mask(|m| {
+                calls.push(m);
+                fig8_test(m)
+            }),
+        );
         // Level 1: tests N={001}, D={010}, P={100}; N and D flip, so all
         // their supersets are inferred. The only untagged level-2 node would
         // be... none: {011},{101},{110} all contain N or D. Full set inferred.
@@ -292,7 +370,7 @@ mod tests {
     #[test]
     fn figure9_worked_examples() {
         for (name, oracle, mfa, flips) in w_scenarios() {
-            let exp = explore(3, ExploreMode::Monotone, false, oracle);
+            let exp = explore(3, ExploreMode::Monotone, false, by_mask(oracle));
             assert_eq!(exp.minimal_flipping_antichain(), mfa, "{name} MFA");
             assert_eq!(exp.flipped_masks().count(), flips, "{name} flip count");
         }
@@ -305,7 +383,7 @@ mod tests {
         let mut n_count = 0;
         let mut p_count = 0;
         for (_, oracle, _, _) in w_scenarios() {
-            let exp = explore(3, ExploreMode::Monotone, false, oracle);
+            let exp = explore(3, ExploreMode::Monotone, false, by_mask(oracle));
             for m in exp.flipped_masks() {
                 total += 1;
                 if m & 0b001 != 0 {
@@ -324,10 +402,15 @@ mod tests {
     #[test]
     fn exhaustive_tests_every_node() {
         let mut calls = FxHashSet::default();
-        let exp = explore(3, ExploreMode::Exhaustive, false, |m| {
-            calls.insert(m);
-            fig8_test(m)
-        });
+        let exp = explore(
+            3,
+            ExploreMode::Exhaustive,
+            false,
+            by_mask(|m| {
+                calls.insert(m);
+                fig8_test(m)
+            }),
+        );
         assert_eq!(calls.len(), 6, "all non-∅, non-full nodes tested");
         assert_eq!(exp.stats().performed, 6);
         assert_eq!(exp.stats().saved(), 0);
@@ -339,12 +422,17 @@ mod tests {
     #[test]
     fn test_full_set_flag() {
         let mut tested_full = false;
-        let _ = explore(2, ExploreMode::Exhaustive, true, |m| {
-            if m == 0b11 {
-                tested_full = true;
-            }
-            false
-        });
+        let _ = explore(
+            2,
+            ExploreMode::Exhaustive,
+            true,
+            by_mask(|m| {
+                if m == 0b11 {
+                    tested_full = true;
+                }
+                false
+            }),
+        );
         assert!(tested_full);
     }
 
@@ -353,16 +441,16 @@ mod tests {
         // Non-monotone oracle: {0} flips but {0,1} would not. Monotone mode
         // must still tag {0,1} as flipped (that's the documented error the
         // Table 7 audit measures).
-        let exp = explore(2, ExploreMode::Monotone, false, |m| m == 0b01);
+        let exp = explore(2, ExploreMode::Monotone, false, by_mask(|m| m == 0b01));
         assert!(exp.flipped(0b11));
         assert_eq!(exp.provenance(0b11), Provenance::Inferred);
-        let truth = explore(2, ExploreMode::Exhaustive, true, |m| m == 0b01);
+        let truth = explore(2, ExploreMode::Exhaustive, true, by_mask(|m| m == 0b01));
         assert!(!truth.flipped(0b11));
     }
 
     #[test]
     fn no_flips_anywhere() {
-        let exp = explore(3, ExploreMode::Monotone, false, |_| false);
+        let exp = explore(3, ExploreMode::Monotone, false, by_mask(|_| false));
         assert_eq!(exp.flipped_masks().count(), 0);
         assert!(exp.minimal_flipping_antichain().is_empty());
         assert_eq!(exp.stats().performed, 6);
@@ -372,7 +460,7 @@ mod tests {
     #[test]
     fn mfa_members_are_tested() {
         for (_, oracle, _, _) in w_scenarios() {
-            let exp = explore(3, ExploreMode::Monotone, false, oracle);
+            let exp = explore(3, ExploreMode::Monotone, false, by_mask(oracle));
             let tested: FxHashSet<AttrMask> = exp.tested_flips().collect();
             for m in exp.minimal_flipping_antichain() {
                 assert!(
@@ -386,7 +474,12 @@ mod tests {
     #[test]
     fn large_arity_works() {
         // IA has 8 attributes: 254 nodes.
-        let exp = explore(8, ExploreMode::Monotone, false, |m| mask_len(m) >= 3);
+        let exp = explore(
+            8,
+            ExploreMode::Monotone,
+            false,
+            by_mask(|m| mask_len(m) >= 3),
+        );
         assert_eq!(exp.stats().expected, 254);
         // All singletons (8) + all pairs (28) tested and failed; all triples
         // containing any tested triple... first triple tested flips and
@@ -398,6 +491,81 @@ mod tests {
     #[test]
     #[should_panic(expected = "mask capacity")]
     fn arity_bound_enforced() {
-        let _ = explore(MAX_ARITY + 1, ExploreMode::Monotone, false, |_| false);
+        let _ = explore(
+            MAX_ARITY + 1,
+            ExploreMode::Monotone,
+            false,
+            by_mask(|_| false),
+        );
+    }
+
+    #[test]
+    fn level_masks_enumerate_each_level_in_order() {
+        for arity in 1..=MAX_ARITY.min(12) {
+            let mut all = Vec::new();
+            for level in 1..=arity {
+                let masks: Vec<AttrMask> = level_masks(arity, level).collect();
+                assert!(masks.windows(2).all(|w| w[0] < w[1]), "ascending");
+                assert!(masks.iter().all(|&m| mask_len(m) == level));
+                all.extend(masks);
+            }
+            let mut sorted: Vec<AttrMask> = (1..(1 << arity)).collect();
+            sorted.sort_by_key(|&m| (mask_len(m), m));
+            assert_eq!(all, sorted, "arity {arity}");
+        }
+        assert_eq!(
+            level_masks(MAX_ARITY, MAX_ARITY).collect::<Vec<_>>(),
+            vec![(1 << MAX_ARITY) - 1]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one tag per tested mask")]
+    fn oracle_must_tag_every_mask() {
+        let _ = explore(3, ExploreMode::Monotone, false, |_| vec![false]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Level batches reproduce the per-mask loop exactly — tags,
+        /// provenance, accounting and the masks tested, in the same order —
+        /// on arbitrary, generally non-monotone oracles. Each batch holds
+        /// one level's masks, and no mask is ever tested twice.
+        #[test]
+        fn level_batches_match_the_per_mask_reference(
+            arity in 1usize..=10,
+            monotone in any::<bool>(),
+            test_full_set in any::<bool>(),
+            seed in any::<u64>(),
+            density in 0u64..=100,
+        ) {
+            let mode = if monotone { ExploreMode::Monotone } else { ExploreMode::Exhaustive };
+            let oracle = |m: AttrMask| fx_hash_one(&(seed, m)) % 100 < density;
+            let mut reference_calls = Vec::new();
+            let reference = explore_reference(arity, mode, test_full_set, |m| {
+                reference_calls.push(m);
+                oracle(m)
+            });
+            let mut batches: Vec<Vec<AttrMask>> = Vec::new();
+            let batched = explore(arity, mode, test_full_set, |level| {
+                batches.push(level.to_vec());
+                level.iter().map(|&m| oracle(m)).collect()
+            });
+            prop_assert_eq!(&batched, &reference);
+            prop_assert_eq!(batched.stats(), reference.stats());
+            let calls: Vec<AttrMask> = batches.concat();
+            prop_assert_eq!(&calls, &reference_calls);
+            let distinct: FxHashSet<AttrMask> = calls.iter().copied().collect();
+            prop_assert_eq!(distinct.len(), calls.len(), "a mask tested twice");
+            let mut levels = Vec::new();
+            for batch in &batches {
+                prop_assert!(!batch.is_empty());
+                let level = mask_len(batch[0]);
+                prop_assert!(batch.iter().all(|&m| mask_len(m) == level), "mixed levels");
+                levels.push(level);
+            }
+            prop_assert!(levels.windows(2).all(|w| w[0] < w[1]), "one batch per level");
+        }
     }
 }

@@ -58,7 +58,7 @@ pub mod saliency;
 pub mod token_level;
 pub mod triangles;
 
-pub use certa::{mean_necessity_of, Certa, CertaExplanation};
+pub use certa::{mean_necessity_of, psi_level_flips, Certa, CertaExplanation};
 pub use config::CertaConfig;
 pub use explanation::{
     AttrRef, CounterfactualExample, CounterfactualExplainer, CounterfactualExplanation,

@@ -28,12 +28,11 @@ proptest! {
             .map(|g| g & full)
             .filter(|&g| g != 0)
             .collect();
-        let monotone = explore(arity, ExploreMode::Monotone, false, |m| {
-            monotone_flip(&generators, m)
-        });
-        let exhaustive = explore(arity, ExploreMode::Exhaustive, false, |m| {
-            monotone_flip(&generators, m)
-        });
+        let oracle = |level: &[AttrMask]| -> Vec<bool> {
+            level.iter().map(|&m| monotone_flip(&generators, m)).collect()
+        };
+        let monotone = explore(arity, ExploreMode::Monotone, false, oracle);
+        let exhaustive = explore(arity, ExploreMode::Exhaustive, false, oracle);
         prop_assert_eq!(
             monotone.minimal_flipping_antichain(),
             exhaustive.minimal_flipping_antichain()
@@ -60,7 +59,9 @@ proptest! {
         truth in proptest::collection::vec(any::<bool>(), 64),
     ) {
         // Arbitrary, generally non-monotone oracle.
-        let oracle = |m: AttrMask| truth[(m as usize) % truth.len()];
+        let oracle = |level: &[AttrMask]| -> Vec<bool> {
+            level.iter().map(|&m| truth[(m as usize) % truth.len()]).collect()
+        };
         for mode in [ExploreMode::Monotone, ExploreMode::Exhaustive] {
             let stats = explore(arity, mode, false, oracle).stats();
             prop_assert!(

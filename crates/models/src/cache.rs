@@ -246,42 +246,36 @@ impl Matcher for CachingMatcher {
     }
 
     fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
-        // Dedup to distinct keys, then lock the distinct cells in sorted key
-        // order — a global acquisition order, so concurrent batches (and
-        // per-pair `score` calls, which lock a single cell) cannot deadlock.
+        // Sort the pair indices by key: equal keys become adjacent groups,
+        // and the distinct cells are locked in sorted key order — a global
+        // acquisition order, so concurrent batches (and per-pair `score`
+        // calls, which lock a single cell) cannot deadlock.
         let keys: Vec<Key> = pairs
             .iter()
             .map(|(u, v)| (u.content_hash(), v.content_hash()))
             .collect();
-        let mut distinct: Vec<(Key, usize)> = {
-            let mut seen: FxHashMap<Key, usize> = FxHashMap::default();
-            for (i, &k) in keys.iter().enumerate() {
-                seen.entry(k).or_insert(i);
-            }
-            seen.into_iter().collect()
-        };
-        distinct.sort_unstable_by_key(|&(k, _)| k);
-
-        let cells: Vec<(Key, usize, Cell)> = distinct
-            .iter()
-            .map(|&(k, i)| (k, i, self.cell(k)))
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.sort_unstable_by_key(|&i| (keys[i], i));
+        let groups: Vec<(&[usize], Cell)> = order
+            .chunk_by(|&a, &b| keys[a] == keys[b])
+            .map(|group| (group, self.cell(keys[group[0]])))
             .collect();
-        let mut resolved: FxHashMap<Key, f64> = FxHashMap::default();
+
+        let mut scores = vec![0.0; pairs.len()];
         // Guards for cold cells stay held (keeping the at-most-once claim)
         // until their scores are published below.
         let mut miss_guards = Vec::new();
         let mut miss_pairs = Vec::new();
-        for (key, first_idx, cell) in &cells {
+        for (group, cell) in &groups {
+            let key = keys[group[0]];
             let held =
-                lockcheck::acquire(self.owner(), lockcheck::rank::CELL, Self::cell_order(*key));
+                lockcheck::acquire(self.owner(), lockcheck::rank::CELL, Self::cell_order(key));
             let guard = cell.lock();
             match *guard {
-                Some(s) => {
-                    resolved.insert(*key, s);
-                }
+                Some(s) => group.iter().for_each(|&i| scores[i] = s),
                 None => {
-                    miss_pairs.push(pairs[*first_idx]);
-                    miss_guards.push((*key, guard, held));
+                    miss_pairs.push(pairs[group[0]]);
+                    miss_guards.push((*group, guard, held));
                 }
             }
         }
@@ -294,14 +288,14 @@ impl Matcher for CachingMatcher {
             .fetch_add((pairs.len() - miss_pairs.len()) as u64, Ordering::Relaxed);
         if !miss_pairs.is_empty() {
             // One vectorized inner call for every cold pair of this batch.
-            let scores = self.inner.score_batch(&miss_pairs);
-            debug_assert_eq!(scores.len(), miss_pairs.len());
-            for ((key, mut guard, _held), s) in miss_guards.into_iter().zip(scores) {
+            let fresh = self.inner.score_batch(&miss_pairs);
+            debug_assert_eq!(fresh.len(), miss_pairs.len());
+            for ((group, mut guard, _held), s) in miss_guards.into_iter().zip(fresh) {
                 *guard = Some(s);
-                resolved.insert(key, s);
+                group.iter().for_each(|&i| scores[i] = s);
             }
         }
-        keys.iter().map(|k| resolved[k]).collect()
+        scores
     }
 }
 

@@ -7,16 +7,23 @@
 //! their outputs by stable [`certa_core::ValueId`] — because the helpers are
 //! deterministic, memoized and unmemoized featurization are bit-for-bit
 //! identical (pinned by `tests/memo_props.rs`, gated by `bench_featurize`).
+//!
+//! Featurization runs in two phases. [`Featurizer::views`] computes what a
+//! family needs of one record alone (DeepER: the record embedding;
+//! DeepMatcher: the record's token set; Ditto: its merged pieces), and
+//! [`Featurizer::combine`] turns two views into the pair's features.
+//! `features_with(u, v)` is `combine(view(u), view(v))`; a batch scorer
+//! builds one view per distinct record and combines them per pair, so a
+//! pivot shared by a whole lattice level is featurized once.
 
+use crate::ditto::{self, DittoView};
 use crate::embedding::{cosine, HashedEmbedder};
 use crate::memo::{EmbedArtifact, FeatureMemo};
-use certa_core::hash::FxHashSet;
-use certa_core::tokens::clean;
 use certa_core::{AttrValue, Dataset, Record, Split};
 use certa_ml::FeatureHasher;
 use certa_text::{
-    jaccard_tokens, jaro_winkler, levenshtein_sim, numeric_sim, parse_number, trigram_sim,
-    CorpusStats,
+    jaccard_sorted, jaccard_tokens, jaro_winkler, numeric_sim, parse_number, sorted_token_set,
+    trigram_sim, CorpusStats,
 };
 use std::sync::Arc;
 
@@ -94,14 +101,89 @@ impl Featurizer {
     /// Featurize one pair, optionally reusing cached per-value artifacts
     /// from `memo`. Bit-identical to [`Featurizer::features`].
     pub fn features_with(&self, u: &Record, v: &Record, memo: Option<&FeatureMemo>) -> Vec<f64> {
+        let views = self.views(&[u, v], memo);
+        self.combine(&views[0], &views[1], memo)
+    }
+
+    /// Phase one: everything this family needs of each record alone, one
+    /// view per record of `records`, in order.
+    pub(crate) fn views<'a>(
+        &self,
+        records: &[&'a Record],
+        memo: Option<&FeatureMemo>,
+    ) -> Vec<RecordView<'a>> {
         match self {
-            Featurizer::DeepEr { embedder } => deeper_features(embedder, u, v, memo),
-            Featurizer::DeepMatcher { corpus, arity } => {
-                deepmatcher_features(corpus, *arity, u, v, memo)
-            }
-            Featurizer::Ditto { hasher } => ditto_features(hasher, u, v, memo),
+            Featurizer::DeepEr { embedder } => records
+                .iter()
+                .map(|r| RecordView::DeepEr(embed_record(embedder, r, memo)))
+                .collect(),
+            Featurizer::DeepMatcher { arity, .. } => records
+                .iter()
+                .map(|r| {
+                    debug_assert_eq!(r.arity(), *arity);
+                    RecordView::DeepMatcher {
+                        values: r.values(),
+                        tokens: sorted_token_set(r.values().iter().flat_map(|v| v.clean_tokens())),
+                    }
+                })
+                .collect(),
+            Featurizer::Ditto { hasher } => ditto::views(hasher, records, memo)
+                .into_iter()
+                .map(RecordView::Ditto)
+                .collect(),
         }
     }
+
+    /// Phase two: the features of the pair whose records gave views `u`
+    /// and `v` (both from [`Featurizer::views`] of this featurizer).
+    ///
+    /// # Panics
+    /// Panics when a view comes from another featurizer family.
+    pub(crate) fn combine(
+        &self,
+        u: &RecordView<'_>,
+        v: &RecordView<'_>,
+        memo: Option<&FeatureMemo>,
+    ) -> Vec<f64> {
+        match (self, u, v) {
+            (Featurizer::DeepEr { embedder }, RecordView::DeepEr(eu), RecordView::DeepEr(ev)) => {
+                deeper_combine(embedder, eu, ev)
+            }
+            (
+                Featurizer::DeepMatcher { corpus, arity },
+                RecordView::DeepMatcher {
+                    values: vu,
+                    tokens: tu,
+                },
+                RecordView::DeepMatcher {
+                    values: vv,
+                    tokens: tv,
+                },
+            ) => deepmatcher_combine(corpus, *arity, (vu, tu), (vv, tv), memo),
+            (Featurizer::Ditto { hasher }, RecordView::Ditto(du), RecordView::Ditto(dv)) => {
+                ditto::combine(hasher, du, dv)
+            }
+            _ => panic!("record view from another featurizer family"),
+        }
+    }
+}
+
+/// What one featurizer family needs of a single record: phase one of
+/// [`Featurizer::features_with`].
+#[derive(Debug)]
+pub(crate) enum RecordView<'a> {
+    /// DeepER: the record embedding.
+    DeepEr(Vec<f64>),
+    /// DeepMatcher: the values (similarity columns are per value pair) and
+    /// the record's distinct cleaned tokens, sorted.
+    DeepMatcher {
+        /// The record's values, in schema order.
+        values: &'a [AttrValue],
+        /// Sorted distinct cleaned tokens over all values.
+        tokens: Vec<&'a str>,
+    },
+    /// Ditto: the record's merged serialization pieces.
+    Ditto(DittoView),
 }
 
 /// Featurizer family tag (mirrors the model zoo).
@@ -146,14 +228,7 @@ fn embed_record(embedder: &HashedEmbedder, r: &Record, memo: Option<&FeatureMemo
     HashedEmbedder::finish_mean(acc, total)
 }
 
-fn deeper_features(
-    embedder: &HashedEmbedder,
-    u: &Record,
-    v: &Record,
-    memo: Option<&FeatureMemo>,
-) -> Vec<f64> {
-    let eu = embed_record(embedder, u, memo);
-    let ev = embed_record(embedder, v, memo);
+fn deeper_combine(embedder: &HashedEmbedder, eu: &[f64], ev: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(2 * embedder.dim() + 1);
     for (a, b) in eu.iter().zip(ev.iter()) {
         out.push((a - b).abs());
@@ -161,7 +236,7 @@ fn deeper_features(
     for (a, b) in eu.iter().zip(ev.iter()) {
         out.push(a * b);
     }
-    out.push(cosine(&eu, &ev));
+    out.push(cosine(eu, ev));
     out
 }
 
@@ -195,24 +270,17 @@ fn deepmatcher_column(corpus: &CorpusStats, a: &AttrValue, b: &AttrValue) -> Vec
     ]
 }
 
-/// All distinct cleaned tokens of a record (the whole-record document the
-/// final aggregate feature compares).
-fn record_clean_token_set(r: &Record) -> FxHashSet<&str> {
-    r.values().iter().flat_map(|v| v.clean_tokens()).collect()
-}
-
-fn deepmatcher_features(
+fn deepmatcher_combine(
     corpus: &CorpusStats,
     arity: usize,
-    u: &Record,
-    v: &Record,
+    (vu, tu): (&[AttrValue], &[&str]),
+    (vv, tv): (&[AttrValue], &[&str]),
     memo: Option<&FeatureMemo>,
 ) -> Vec<f64> {
-    debug_assert_eq!(u.arity(), arity);
-    debug_assert_eq!(v.arity(), arity);
+    debug_assert_eq!(vu.len(), arity);
+    debug_assert_eq!(vv.len(), arity);
     let mut out = Vec::with_capacity(arity * ATTR_FEATURES + 1);
-    for i in 0..arity {
-        let (a, b) = (&u.values()[i], &v.values()[i]);
+    for (i, (a, b)) in vu.iter().zip(vv).enumerate() {
         match memo {
             Some(m) => {
                 let col = m.column(i as u16, a.id(), b.id(), || {
@@ -225,114 +293,7 @@ fn deepmatcher_features(
     }
     // One record-level aggregate so the model can catch dirty-migrated
     // values: Jaccard over the union of each record's cleaned token sets.
-    let su = record_clean_token_set(u);
-    let sv = record_clean_token_set(v);
-    out.push(jaccard_tokens(su.iter().copied(), sv.iter().copied()));
-    out
-}
-
-// -------------------------------------------------------------------- Ditto
-
-/// Serialize one value's tokens Ditto-style (numbers rounded to integers —
-/// Ditto's number normalization DK injection — other tokens cleaned), each
-/// token followed by one space. Pure per-value function; the `col<i>` prefix
-/// is attribute-positional and added by the record serializer.
-fn ditto_segment(value: &AttrValue) -> String {
-    let mut s = String::new();
-    // Parse numbers on the *raw* tokens (cleaning would split "379.72"),
-    // then clean the surviving text tokens.
-    for tok in value.tokens() {
-        match parse_number(tok) {
-            Some(n) => s.push_str(&format!("{}", n.round() as i64)),
-            None => s.push_str(&clean(tok)),
-        }
-        s.push(' ');
-    }
-    s
-}
-
-fn serialize_ditto_with(r: &Record, memo: Option<&FeatureMemo>) -> String {
-    let mut s = String::new();
-    for (i, val) in r.values().iter().enumerate() {
-        s.push_str("col");
-        s.push_str(&i.to_string());
-        s.push(' ');
-        match memo {
-            Some(m) => s.push_str(&m.segment(val.id(), || ditto_segment(val))),
-            None => s.push_str(&ditto_segment(val)),
-        }
-    }
-    s.trim_end().to_string()
-}
-
-/// Serialize a record Ditto-style: `COL <attr-index> VAL <tokens…>`.
-pub fn serialize_ditto(r: &Record) -> String {
-    serialize_ditto_with(r, None)
-}
-
-/// Ditto's serialized-pair features: hashed shared/one-sided token crosses,
-/// token Jaccard, the trigram similarity of the two whole serializations,
-/// the first token's edit similarity, and the token-count gap.
-///
-/// Known quirk: the `col<i>` markers are dropped with
-/// `!t.starts_with("col")`, which also drops real value tokens such as
-/// `columbia`. IA at default scale (seed 7) has 100 of its 12,732 value
-/// tokens starting with `col`; AB, FZ and DS have none. Fixing it moves every
-/// Ditto score and fixture, so it is left for a model change of its own.
-fn ditto_features(
-    hasher: &FeatureHasher,
-    u: &Record,
-    v: &Record,
-    memo: Option<&FeatureMemo>,
-) -> Vec<f64> {
-    let su = serialize_ditto_with(u, memo);
-    let sv = serialize_ditto_with(v, memo);
-    let tu: Vec<&str> = su
-        .split_whitespace()
-        .filter(|t| !t.starts_with("col"))
-        .collect();
-    let tv: Vec<&str> = sv
-        .split_whitespace()
-        .filter(|t| !t.starts_with("col"))
-        .collect();
-    let set_u: FxHashSet<&str> = tu.iter().copied().collect();
-    let set_v: FxHashSet<&str> = tv.iter().copied().collect();
-
-    let mut hashed = vec![0.0; hasher.dim()];
-    // Cross features: shared tokens (strong match evidence), one-sided
-    // tokens (mismatch evidence), marked with direction prefixes.
-    let mut scratch = String::new();
-    for &t in set_u.intersection(&set_v) {
-        scratch.clear();
-        scratch.push_str("both:");
-        scratch.push_str(t);
-        hasher.add(&mut hashed, &scratch, 1.0);
-    }
-    for &t in set_u.difference(&set_v) {
-        scratch.clear();
-        scratch.push_str("only:");
-        scratch.push_str(t);
-        hasher.add(&mut hashed, &scratch, -0.5);
-    }
-    for &t in set_v.difference(&set_u) {
-        scratch.clear();
-        scratch.push_str("only:");
-        scratch.push_str(t);
-        hasher.add(&mut hashed, &scratch, -0.5);
-    }
-    let denom = (set_u.len() + set_v.len()).max(1) as f64;
-    hashed.iter_mut().for_each(|x| *x /= denom.sqrt());
-
-    let inter = set_u.intersection(&set_v).count() as f64;
-    let union = (set_u.len() + set_v.len()) as f64 - inter;
-    let mut out = hashed;
-    out.push(if union > 0.0 { inter / union } else { 1.0 }); // token jaccard
-    out.push(trigram_sim(&su, &sv));
-    out.push(levenshtein_sim(
-        tu.first().copied().unwrap_or(""),
-        tv.first().copied().unwrap_or(""),
-    ));
-    out.push((tu.len() as f64 - tv.len() as f64).abs() / (tu.len() + tv.len()).max(1) as f64);
+    out.push(jaccard_sorted(tu, tv));
     out
 }
 
@@ -423,7 +384,7 @@ mod tests {
     #[test]
     fn ditto_serialization_normalizes_numbers() {
         let r = rec(0, &["sony tv", "price 379.72"]);
-        let s = serialize_ditto(&r);
+        let s = crate::ditto::oracle::serialize_ditto(&r);
         assert!(s.contains("col0 sony tv"));
         assert!(s.contains("380"), "rounded number in `{s}`");
         assert!(!s.contains("379.72"));
@@ -468,15 +429,25 @@ mod tests {
         }
     }
 
+    /// Ditto pieces are built on memoized serialized segments; cold and
+    /// warm memos give the whole-string serialization's features.
     #[test]
     fn memoized_serialization_matches_unmemoized() {
-        let r = rec(0, &["sony tv", "price 379.72", ""]);
+        let d = generate(DatasetId::AB, Scale::Smoke, 1);
+        let f = Featurizer::fit(FeaturizerKind::Ditto, &d);
+        let Featurizer::Ditto { hasher } = &f else {
+            unreachable!("fitted a Ditto featurizer")
+        };
+        let u = rec(0, &["sony tv", "price 379.72", ""]);
+        let v = rec(1, &["sony", "price 380", "col7"]);
+        let whole = crate::ditto::oracle::ditto_features(hasher, &u, &v);
         let memo = FeatureMemo::new();
-        assert_eq!(serialize_ditto_with(&r, Some(&memo)), serialize_ditto(&r));
+        assert_eq!(f.features_with(&u, &v, Some(&memo)), whole);
         assert_eq!(
-            serialize_ditto_with(&r, Some(&memo)),
-            serialize_ditto(&r),
+            f.features_with(&u, &v, Some(&memo)),
+            whole,
             "warm pass identical too"
         );
+        assert_eq!(f.features(&u, &v), whole);
     }
 }

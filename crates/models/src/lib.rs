@@ -26,6 +26,7 @@
 //! audit).
 
 pub mod cache;
+mod ditto;
 pub mod embedding;
 pub mod features;
 pub mod memo;

@@ -13,8 +13,21 @@
 //! * **DeepMatcher** — the full `ATTR_FEATURES`-wide per-attribute similarity
 //!   column (Jaccard, Jaro-Winkler, trigram, TF-IDF/numeric, missing flags),
 //!   keyed by `(attr, ValueId, ValueId)`.
-//! * **Ditto** — the serialized `VAL` token segment of one value (number
-//!   rounding + cleaning applied), keyed by `ValueId`.
+//! * **Ditto** — two families. The serialized token segment of one value
+//!   (number rounding + cleaning applied), keyed by `ValueId`; and the
+//!   *piece* built on it: attribute `i`'s share `col<i> <segment>` of a
+//!   record serialization, with its distinct tokens (byte ranges into the
+//!   segment, their hashed `both:`/`only:` slots precomputed) and its packed
+//!   trigram set, keyed by `(attr, ValueId, last)` — the last attribute's
+//!   piece is trimmed. A record's Ditto view is a merge of its pieces
+//!   (see `ditto.rs`).
+//!
+//! ## Persistence
+//!
+//! `certa-store` snapshots the embedding partials, the similarity columns
+//! and the segments. Pieces are not persisted: they are rebuilt from the
+//! (seeded) segment the first time a seeded memo needs them, so the
+//! snapshot format does not depend on how pieces are laid out.
 //!
 //! ## Determinism contract
 //!
@@ -35,6 +48,7 @@
 //! insert the same deterministic value (last write wins, identical bytes).
 
 use crate::cache::CacheStats;
+use crate::ditto::DittoPiece;
 use certa_core::hash::{fx_hash_one, FxHashMap};
 use certa_core::lockcheck;
 use certa_core::ValueId;
@@ -117,8 +131,10 @@ pub struct FeatureMemo {
     embed: ShardedMap<u32, Arc<EmbedArtifact>>,
     /// DeepMatcher: `(attr, ValueId, ValueId)` → similarity column.
     columns: ShardedMap<(u16, u32, u32), Arc<[f64]>>,
-    /// Ditto: `ValueId` → serialized `VAL` token segment.
+    /// Ditto: `ValueId` → serialized token segment.
     segments: ShardedMap<u32, Arc<str>>,
+    /// Ditto: `(attr, ValueId, last attribute)` → record-serialization piece.
+    pieces: ShardedMap<(u32, u32, bool), Arc<DittoPiece>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -134,6 +150,10 @@ impl fmt::Debug for FeatureMemo {
         let s = self.stats();
         f.debug_struct("FeatureMemo")
             .field("entries", &self.len())
+            .field("embed", &self.embed.len())
+            .field("columns", &self.columns.len())
+            .field("segments", &self.segments.len())
+            .field("pieces", &self.pieces.len())
             .field("hits", &s.hits)
             .field("misses", &s.misses)
             .finish()
@@ -147,12 +167,13 @@ impl FeatureMemo {
             embed: ShardedMap::new(),
             columns: ShardedMap::new(),
             segments: ShardedMap::new(),
+            pieces: ShardedMap::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Lifetime hit/miss counters across all three artifact families (same
+    /// Lifetime hit/miss counters across all four artifact families (same
     /// semantics as the score cache's [`CacheStats`]: a hit is an artifact
     /// served without recomputation).
     pub fn stats(&self) -> CacheStats {
@@ -162,9 +183,9 @@ impl FeatureMemo {
         }
     }
 
-    /// Total cached artifacts across all families.
+    /// Total cached artifacts across all families, Ditto pieces included.
     pub fn len(&self) -> usize {
-        self.embed.len() + self.columns.len() + self.segments.len()
+        self.embed.len() + self.columns.len() + self.segments.len() + self.pieces.len()
     }
 
     /// True when nothing has been memoized yet.
@@ -218,6 +239,18 @@ impl FeatureMemo {
     /// Ditto serialized token segment of one value.
     pub fn segment(&self, value: ValueId, compute: impl FnOnce() -> String) -> Arc<str> {
         self.lookup(&self.segments, value.0, || Arc::from(compute().as_str()))
+    }
+
+    /// Ditto piece of attribute `attr` holding `value`; `last` marks the
+    /// record's last attribute, whose piece is trimmed.
+    pub(crate) fn ditto_piece(
+        &self,
+        attr: u32,
+        value: ValueId,
+        last: bool,
+        compute: impl FnOnce() -> DittoPiece,
+    ) -> Arc<DittoPiece> {
+        self.lookup(&self.pieces, (attr, value.0, last), || Arc::new(compute()))
     }
 
     // --------------------------------------------------- snapshot support
@@ -326,6 +359,26 @@ mod tests {
         assert_eq!(&*s, "sony tv");
         assert_eq!(memo.len(), 4);
         assert_eq!(memo.stats().misses, 4);
+    }
+
+    #[test]
+    fn pieces_count_in_len_and_debug() {
+        let memo = FeatureMemo::new();
+        let hasher = certa_ml::FeatureHasher::new(8, 1);
+        let seg = memo.segment(ValueId(1), || "sony tv ".to_string());
+        for last in [false, true] {
+            let piece = memo.ditto_piece(0, ValueId(1), last, || {
+                DittoPiece::build(&hasher, 0, Arc::clone(&seg), last)
+            });
+            let again = memo.ditto_piece(0, ValueId(1), last, || unreachable!("memoized"));
+            assert!(Arc::ptr_eq(&piece, &again));
+        }
+        assert_eq!(memo.len(), 3, "one segment, an inner and a last piece");
+        let debug = format!("{memo:?}");
+        assert!(debug.contains("entries: 3"), "{debug}");
+        assert!(debug.contains("pieces: 2"), "{debug}");
+        // Snapshots export segments only; pieces are rebuilt on use.
+        assert_eq!(memo.segment_entries().len(), 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::cache::CacheStats;
 use crate::features::{Featurizer, FeaturizerKind};
 use crate::memo::FeatureMemo;
 use crate::zoo::ModelKind;
+use certa_core::hash::FxHashMap;
 use certa_core::tokens::tokens;
 use certa_core::{Dataset, MatchLabel, Matcher, Record, Split};
 use certa_ml::dataset::Standardizer;
@@ -162,19 +163,64 @@ impl Matcher for ErModel {
     }
 
     fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
-        // Vectorized path: scatter per-pair features into one contiguous
-        // feature-major batch, standardize each feature as one sweep, then
-        // one layer-swept SoA forward pass. Featurization, standardization,
-        // and the matmul kernel all preserve the per-item operation order,
-        // so results are bit-identical to per-pair `score`.
+        // Vectorized path: featurize each distinct record once (a lattice
+        // level pairs every perturbed copy with the same pivot), combine the
+        // views per pair into one contiguous feature-major batch,
+        // standardize each feature as one sweep, then one layer-swept SoA
+        // forward pass. Views, standardization, and the matmul kernel all
+        // preserve the per-item operation order, so results are
+        // bit-identical to per-pair `score`.
         let memo = self.memo.as_deref();
+        let (records, index) = distinct_records(pairs);
+        let views = self.featurizer.views(&records, memo);
+        let features =
+            |&(a, b): &(usize, usize)| self.featurizer.combine(&views[a], &views[b], memo);
+        if pairs.len() < certa_ml::kernels::LANES {
+            // Narrower than one lane block, the SoA kernel only runs its
+            // remainder loop: the per-pair pass of `score` is cheaper here
+            // (a small lattice level, e.g. 4–6 copies of a 4-attribute
+            // record).
+            return index
+                .iter()
+                .map(|pair| {
+                    let mut x = features(pair);
+                    self.standardizer.apply(&mut x);
+                    self.net.predict_proba(&x)
+                })
+                .collect();
+        }
         let mut batch = certa_ml::FeatureBatch::zeros(self.standardizer.dim(), pairs.len());
-        for (j, (u, v)) in pairs.iter().enumerate() {
-            batch.set_item(j, &self.featurizer.features_with(u, v, memo));
+        for (j, pair) in index.iter().enumerate() {
+            batch.set_item(j, &features(pair));
         }
         self.standardizer.apply_soa(&mut batch);
         self.net.predict_proba_soa(&batch)
     }
+}
+
+/// The distinct records of a batch, by content, and each pair's indices
+/// into them. Records with equal content are featurized alike, so one view
+/// serves them all; a content-hash collision between different records
+/// just gets a view of its own.
+fn distinct_records<'a>(
+    pairs: &[(&'a Record, &'a Record)],
+) -> (Vec<&'a Record>, Vec<(usize, usize)>) {
+    let mut records: Vec<&Record> = Vec::new();
+    let mut by_hash: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut slot = |r: &'a Record| -> usize {
+        let hash = r.content_hash();
+        if let Some(&i) = by_hash.get(&hash) {
+            if records[i].values() == r.values() {
+                return i;
+            }
+        } else {
+            by_hash.insert(hash, records.len());
+        }
+        records.push(r);
+        records.len() - 1
+    };
+    let index = pairs.iter().map(|&(u, v)| (slot(u), slot(v))).collect();
+    (records, index)
 }
 
 /// Quality report from [`train_model`].

@@ -8,7 +8,7 @@ use certa_datagen::{generate, DatasetId, Scale};
 use certa_models::{train_model, ModelKind, RuleMatcher, TrainConfig};
 use certa_store::{
     decode_dataset, decode_er_model, decode_rule_matcher, encode_dataset, encode_er_model,
-    encode_rule_matcher,
+    encode_er_model_with_memo, encode_rule_matcher,
 };
 use proptest::prelude::*;
 
@@ -151,4 +151,48 @@ fn training_on_a_decoded_dataset_is_bit_identical() {
             retrained.score(u, v).to_bits()
         );
     }
+}
+
+/// A memo seeded from a snapshot scores Ditto pairs bit-identically. The
+/// snapshot carries the serialized segments only; the record-serialization
+/// pieces are rebuilt on them the first time the decoded model needs them,
+/// and must equal the pieces the warm model scored with.
+#[test]
+fn snapshot_seeded_memo_scores_ditto_bit_identically() {
+    let d = generate(DatasetId::IA, Scale::Smoke, 31);
+    let kind = ModelKind::Ditto;
+    let (model, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
+    let left = d.left().records();
+    // Lattice-shaped traffic: perturbed copies of each test pair's left
+    // record against its fixed right record.
+    let mut copies: Vec<(Record, &Record)> = Vec::new();
+    for (t, lp) in d.split(Split::Test).iter().take(4).enumerate() {
+        let (u, v) = d.expect_pair(lp.pair);
+        let w = &left[(t + 1) % left.len()];
+        for mask in 0u32..(1 << u.arity()) {
+            copies.push((u.with_values_merged(w, |i| mask & (1 << i) != 0), v));
+        }
+    }
+    let pairs: Vec<(&Record, &Record)> = copies.iter().map(|(c, v)| (c, *v)).collect();
+    let warm = model.score_batch(&pairs);
+
+    let decoded = decode_er_model(&encode_er_model_with_memo(&model)).unwrap();
+    assert!(decoded.memo_len() > 0, "segments seeded");
+    assert!(
+        decoded.memo_len() < model.memo_len(),
+        "pieces are not persisted"
+    );
+    let batch = decoded.score_batch(&pairs);
+    for (((u, v), w), b) in pairs.iter().zip(&warm).zip(&batch) {
+        assert_eq!(b.to_bits(), w.to_bits(), "decoded batch diverged");
+        assert_eq!(
+            decoded.score(u, v).to_bits(),
+            w.to_bits(),
+            "decoded score diverged"
+        );
+    }
+    assert!(
+        decoded.memo_stats().misses > 0,
+        "pieces rebuilt on first use"
+    );
 }

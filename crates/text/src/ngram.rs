@@ -1,17 +1,26 @@
 //! Character-trigram-set similarity.
-
-use std::cmp::Ordering;
+//!
+//! Trigrams are packed into `u64`s and kept as sorted, deduplicated sets, so
+//! a caller that assembles a string from parts can also assemble its set:
+//! [`packed_trigrams`] of each part, [`pack_trigram`] for the grams that
+//! span a boundary, then sort and dedup the union. [`trigram_set_sim`]
+//! compares two such sets exactly as [`trigram_sim`] compares the strings.
 
 /// Tag bit of the single gram a string shorter than three chars yields.
 const SHORT: u64 = 1 << 63;
 /// The low 63 bits: three 21-bit Unicode scalars.
 const WINDOW: u64 = SHORT - 1;
 
+/// One character trigram packed as `c0 << 42 | c1 << 21 | c2`.
+pub fn pack_trigram(c0: char, c1: char, c2: char) -> u64 {
+    u64::from(c0) << 42 | u64::from(c1) << 21 | u64::from(c2)
+}
+
 /// The sorted, deduplicated set of `s`'s character trigrams, each packed
-/// into one `u64` as `c0 << 42 | c1 << 21 | c2`. A non-empty string shorter
-/// than three chars yields one gram: [`SHORT`] | its char count `<< 42` |
-/// its packed chars. An empty string yields no gram.
-fn packed_trigrams(s: &str) -> Vec<u64> {
+/// by [`pack_trigram`]. A non-empty string shorter than three chars yields
+/// one gram: [`SHORT`] | its char count `<< 42` | its packed chars. An empty
+/// string yields no gram.
+pub fn packed_trigrams(s: &str) -> Vec<u64> {
     let mut grams = Vec::with_capacity(s.len());
     let mut window = 0u64;
     let mut seen = 0u64;
@@ -30,26 +39,32 @@ fn packed_trigrams(s: &str) -> Vec<u64> {
     grams
 }
 
-/// Size of the intersection of two sorted, deduplicated slices (a merge).
+/// Size of the intersection of two sorted, deduplicated slices: a merge
+/// whose steps are computed rather than branched on, so unpredictable
+/// orderings cost no mispredictions.
 fn sorted_intersection(a: &[u64], b: &[u64]) -> usize {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    let mut inter = 0;
-    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-        match x.cmp(y) {
-            Ordering::Less => {
-                a.next();
-            }
-            Ordering::Greater => {
-                b.next();
-            }
-            Ordering::Equal => {
-                inter += 1;
-                a.next();
-                b.next();
-            }
-        }
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        inter += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     inter
+}
+
+/// Jaccard similarity of two sorted, deduplicated packed-trigram sets: 1.0
+/// when both are empty, 0.0 when only one is. A string is empty exactly
+/// when its set is, so `trigram_set_sim(&packed_trigrams(a),
+/// &packed_trigrams(b))` is [`trigram_sim`]`(a, b)`, bit for bit.
+pub fn trigram_set_sim(a: &[u64], b: &[u64]) -> f64 {
+    match (a.is_empty(), b.is_empty()) {
+        (true, true) => return 1.0,
+        (true, false) | (false, true) => return 0.0,
+        (false, false) => {}
+    }
+    let inter = sorted_intersection(a, b);
+    let union = a.len() + b.len() - inter;
+    inter as f64 / union as f64
 }
 
 /// Jaccard similarity of character trigram sets — a cheap typo-tolerant
@@ -64,16 +79,7 @@ fn sorted_intersection(a: &[u64], b: &[u64]) -> usize {
 /// string. Set sizes and the intersection therefore equal those of the
 /// string sets, and the ratio is the same `f64`, bit for bit.
 pub fn trigram_sim(a: &str, b: &str) -> f64 {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return 1.0,
-        (true, false) | (false, true) => return 0.0,
-        (false, false) => {}
-    }
-    let ga = packed_trigrams(a);
-    let gb = packed_trigrams(b);
-    let inter = sorted_intersection(&ga, &gb);
-    let union = ga.len() + gb.len() - inter;
-    inter as f64 / union as f64
+    trigram_set_sim(&packed_trigrams(a), &packed_trigrams(b))
 }
 
 #[cfg(test)]
@@ -208,6 +214,12 @@ mod tests {
         assert_eq!(trigram_sim("a", "\u{1}\0a"), 0.0);
         assert_eq!(trigram_sim("\0", "\0\0"), 0.0);
         assert_eq!(trigram_sim("\0\0\0", "\0\0\0\0"), 1.0);
+        assert_eq!(
+            packed_trigrams("a\u{10FFFF}\0"),
+            vec![pack_trigram('a', '\u{10FFFF}', '\0')]
+        );
+        assert_eq!(trigram_set_sim(&[], &[]), 1.0);
+        assert_eq!(trigram_set_sim(&packed_trigrams("abc"), &[]), 0.0);
     }
 
     #[test]
@@ -253,6 +265,29 @@ mod tests {
             b in "[\0-\u{2}ab\u{E9}\u{4E2D}\u{1F600}\u{10FFFE}-\u{10FFFF}]{0,14}",
         ) {
             assert_matches_oracle(&a, &b)?;
+        }
+
+        /// A string's set is the union of its parts' sets plus the two
+        /// grams spanning each boundary, when every part has three or more
+        /// chars (no gram spans three parts, and no part yields a short
+        /// gram).
+        #[test]
+        fn parts_assemble_to_the_whole(
+            parts in proptest::collection::vec("[\0-\u{2}ab\u{E9}\u{1F600}\u{10FFFF} ]{3,8}", 1..6),
+        ) {
+            let mut grams: Vec<u64> = Vec::new();
+            for (i, part) in parts.iter().enumerate() {
+                grams.extend(packed_trigrams(part));
+                if let Some(next) = parts.get(i + 1) {
+                    let tail: Vec<char> = part.chars().rev().take(2).collect();
+                    let head: Vec<char> = next.chars().take(2).collect();
+                    grams.push(pack_trigram(tail[1], tail[0], head[0]));
+                    grams.push(pack_trigram(tail[0], head[0], head[1]));
+                }
+            }
+            grams.sort_unstable();
+            grams.dedup();
+            prop_assert_eq!(grams, packed_trigrams(&parts.concat()));
         }
 
         /// Serialized-record shape, as the Ditto featurizer compares them.

@@ -16,7 +16,9 @@
 use certa_core::tokens::tokens;
 use std::cmp::Ordering;
 
-fn sorted_unique<'a>(toks: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+/// The sorted, deduplicated set of a token view — the form
+/// [`jaccard_sorted`] compares.
+pub fn sorted_token_set<'a>(toks: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
     let mut v: Vec<&str> = toks.into_iter().collect();
     v.sort_unstable();
     v.dedup();
@@ -52,12 +54,16 @@ pub fn jaccard_tokens<'a>(
     a: impl IntoIterator<Item = &'a str>,
     b: impl IntoIterator<Item = &'a str>,
 ) -> f64 {
-    let sa = sorted_unique(a);
-    let sb = sorted_unique(b);
+    jaccard_sorted(&sorted_token_set(a), &sorted_token_set(b))
+}
+
+/// [`jaccard`] over two sets already built by [`sorted_token_set`], so a
+/// caller comparing one record against many builds its set once.
+pub fn jaccard_sorted(sa: &[&str], sb: &[&str]) -> f64 {
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
-    let inter = intersection_count(&sa, &sb);
+    let inter = intersection_count(sa, sb);
     let union = sa.len() + sb.len() - inter;
     inter as f64 / union as f64
 }
@@ -72,8 +78,8 @@ pub fn dice_tokens<'a>(
     a: impl IntoIterator<Item = &'a str>,
     b: impl IntoIterator<Item = &'a str>,
 ) -> f64 {
-    let sa = sorted_unique(a);
-    let sb = sorted_unique(b);
+    let sa = sorted_token_set(a);
+    let sb = sorted_token_set(b);
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
@@ -93,8 +99,8 @@ pub fn overlap_coefficient_tokens<'a>(
     a: impl IntoIterator<Item = &'a str>,
     b: impl IntoIterator<Item = &'a str>,
 ) -> f64 {
-    let sa = sorted_unique(a);
-    let sb = sorted_unique(b);
+    let sa = sorted_token_set(a);
+    let sb = sorted_token_set(b);
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }

@@ -23,7 +23,9 @@ proptest! {
         arity in 2usize..7,
         threshold in 1usize..4,
     ) {
-        let oracle = |m: u32| mask_len(m) >= threshold;
+        let oracle = |level: &[u32]| -> Vec<bool> {
+            level.iter().map(|&m| mask_len(m) >= threshold).collect()
+        };
         let mono = explore(arity, ExploreMode::Monotone, false, oracle);
         let full = explore(arity, ExploreMode::Exhaustive, false, oracle);
         for mask in 1..mono.full_mask() { // full set untested in exhaustive mode
