@@ -2,8 +2,7 @@
 //! killed.
 //!
 //! ```text
-//! certa-serve [--host H] [--port P] [--mode event|threaded]
-//!             [--scale smoke|default|paper]
+//! certa-serve [--host H] [--port P] [--scale smoke|default|paper]
 //!             [--seed N] [--tau N] [--http-workers N] [--explain-workers N]
 //!             [--queue-depth N] [--max-body-bytes N] [--read-timeout-ms N]
 //!             [--max-pipeline N] [--tenant-rps N] [--tenant-burst N]
@@ -12,10 +11,12 @@
 //!             [--transfer-floor F] [--preload <dataset>/<model>]...
 //! ```
 //!
-//! `--mode` selects the event-driven reactor core (default) or the
-//! worker-per-connection baseline; `--tenant-rps 0` (default) disables
-//! per-tenant rate limiting, `--stream-chunk-bytes 0` disables chunked
-//! streaming of large responses.
+//! Sockets are served by the event-driven reactor core (see
+//! `certa_serve::server`). `--queue-depth` caps live connections and
+//! queued jobs, `--read-timeout-ms` is the idle-connection reaper's
+//! timeout, `--tenant-rps 0` (default) disables per-tenant rate limiting,
+//! and `--stream-chunk-bytes 0` disables chunked streaming of large
+//! responses.
 //!
 //! `--preload` resolves (generates + trains) the named entries before the
 //! listener opens, so the first real request doesn't pay the training
@@ -44,8 +45,8 @@ struct Args {
     preload: Vec<String>,
 }
 
-const USAGE: &str = "usage: certa-serve [--host H] [--port P] [--mode event|threaded] \
-[--scale smoke|default|paper] [--seed N] [--tau N] [--http-workers N] [--explain-workers N] \
+const USAGE: &str = "usage: certa-serve [--host H] [--port P] [--scale smoke|default|paper] \
+[--seed N] [--tau N] [--http-workers N] [--explain-workers N] \
 [--queue-depth N] [--max-body-bytes N] [--read-timeout-ms N] [--max-pipeline N] \
 [--tenant-rps N] [--tenant-burst N] [--stream-chunk-bytes N] [--store-dir PATH] \
 [--transfer off|nearest] [--transfer-floor F] [--preload <dataset>/<model>]...";
@@ -63,7 +64,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         match flag.as_str() {
             "--host" => args.host = value("--host")?,
             "--port" => args.port = value("--port")?.parse().map_err(|e| format!("{e}"))?,
-            "--mode" => args.config.mode = value("--mode")?.parse()?,
             "--scale" => args.config.scale = value("--scale")?.parse()?,
             "--seed" => args.config.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--tau" => args.config.tau = value("--tau")?.parse().map_err(|e| format!("{e}"))?,
@@ -140,8 +140,7 @@ fn main() {
     };
     let cfg = &args.config;
     eprintln!(
-        "certa-serve: mode={} scale={} seed={} tau={} http_workers={} queue_depth={}",
-        cfg.mode,
+        "certa-serve: scale={} seed={} tau={} http_workers={} queue_depth={}",
         cfg.scale,
         cfg.seed,
         cfg.tau,
@@ -202,8 +201,6 @@ mod tests {
         let a = parse(&[
             "--port",
             "9000",
-            "--mode",
-            "threaded",
             "--scale",
             "smoke",
             "--seed",
@@ -241,7 +238,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(a.port, 9000);
-        assert_eq!(a.config.mode, certa_serve::ServeMode::Threaded);
         assert_eq!(a.config.seed, 11);
         assert_eq!(a.config.tau, 40);
         assert_eq!(a.config.http_workers, 3);
@@ -262,7 +258,6 @@ mod tests {
         assert_eq!(a.preload, vec!["FZ/DeepMatcher", "AB/Ditto"]);
         let d = parse(&[]).unwrap();
         assert!(d.config.store_dir.is_none());
-        assert_eq!(d.config.mode, certa_serve::ServeMode::Event);
         assert_eq!(d.config.transfer, certa_serve::TransferMode::Off);
         assert_eq!(d.config.transfer_floor, 0.25);
     }

@@ -1,12 +1,12 @@
 //! Minimal HTTP/1.1 framing: request parsing with hard limits, response
 //! encoding, keep-alive negotiation, and structured JSON errors.
 //!
-//! Two request readers share one head grammar ([`parse_head`]): the
-//! blocking [`read_request`] (used by the threaded serving core) and the
-//! incremental [`parse_request`] over a connection's receive buffer (used
-//! by the epoll reactor, which never blocks on a socket). Both produce
-//! identical [`Request`]s and identical structured errors for identical
-//! bytes.
+//! Requests are read by the incremental [`parse_request`] over a
+//! connection's receive buffer (the epoll reactor never blocks on a
+//! socket), so a request may arrive split at any byte. The tests keep a
+//! blocking line-by-line stream reader over the same head grammar
+//! ([`parse_head`]) as an oracle: for identical bytes both yield identical
+//! [`Request`]s and identical structured errors, however the bytes are cut.
 //!
 //! The grammar subset is deliberate: request line + headers + an optional
 //! `Content-Length` body. `Transfer-Encoding: chunked` *requests* are
@@ -18,7 +18,7 @@
 //! so the served-bytes ≡ in-process equality gate is framing-independent.
 
 use crate::wire::Json;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Hard cap on the request line + headers section.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -116,20 +116,6 @@ impl HttpError {
     }
 }
 
-/// What happened while reading a request off the stream.
-pub enum ReadOutcome {
-    /// A complete, well-formed request.
-    Request(Box<Request>),
-    /// The peer closed between requests — normal keep-alive termination,
-    /// nothing to send.
-    Closed,
-    /// No byte arrived within the socket read timeout — the idle-connection
-    /// reaper case, counted separately from peer-initiated closes.
-    Timeout,
-    /// A protocol violation; send this error and honour its `keep_alive`.
-    Error(HttpError),
-}
-
 /// A parsed request head: everything before the body bytes.
 struct Head {
     method: String,
@@ -163,12 +149,8 @@ fn head_too_large() -> HttpError {
     )
 }
 
-fn truncated_head(detail: &str) -> HttpError {
-    HttpError::closing(400, "truncated_request", detail.to_string())
-}
-
 /// Parse a request head from its lines (request line first, then header
-/// lines, no blank terminator). One grammar for both request readers.
+/// lines, no blank terminator).
 fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
     // --- request line ---
     let line = lines.first().map(String::as_str).unwrap_or("");
@@ -283,69 +265,6 @@ fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
     })
 }
 
-/// Read one request from a buffered stream (the blocking reader the
-/// threaded serving core uses; the reactor uses [`parse_request`]).
-///
-/// `max_body` bounds `Content-Length`; the head section is bounded by
-/// [`MAX_HEAD_BYTES`]. A timeout before the first byte surfaces as
-/// [`ReadOutcome::Timeout`], other first-byte IO errors as
-/// [`ReadOutcome::Closed`], and truncation mid-request as a `400`.
-pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> ReadOutcome {
-    let line = match read_line_limited(stream, MAX_HEAD_BYTES) {
-        Ok(Some(line)) => line,
-        Ok(None) => return ReadOutcome::Closed,
-        Err(LineError::TooLong) => return ReadOutcome::Error(head_too_large()),
-        Err(LineError::Io(e))
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            return ReadOutcome::Timeout;
-        }
-        Err(LineError::Io(_)) => return ReadOutcome::Closed,
-    };
-    let mut head_budget = MAX_HEAD_BYTES.saturating_sub(line.len());
-    let mut lines = vec![line];
-    loop {
-        let line = match read_line_limited(stream, head_budget) {
-            Ok(Some(line)) => line,
-            Ok(None) => {
-                return ReadOutcome::Error(truncated_head(
-                    "connection closed inside the header section",
-                ));
-            }
-            Err(LineError::TooLong) => return ReadOutcome::Error(head_too_large()),
-            Err(LineError::Io(_)) => {
-                return ReadOutcome::Error(truncated_head(
-                    "stream error inside the header section",
-                ));
-            }
-        };
-        if line.is_empty() {
-            break;
-        }
-        head_budget = head_budget.saturating_sub(line.len());
-        lines.push(line);
-    }
-    let head = match parse_head(&lines, max_body) {
-        Ok(head) => head,
-        Err(e) => return ReadOutcome::Error(e),
-    };
-    let mut body = vec![0u8; head.content_length];
-    if stream.read_exact(&mut body).is_err() {
-        return ReadOutcome::Error(HttpError::closing(
-            400,
-            "truncated_body",
-            format!(
-                "connection closed before {} body bytes arrived",
-                head.content_length
-            ),
-        ));
-    }
-    ReadOutcome::Request(Box::new(head.into_request(body)))
-}
-
 /// Outcome of one [`parse_request`] pass over a receive buffer.
 pub enum ParseOutcome {
     /// No complete request yet — keep the buffer and read more bytes.
@@ -371,7 +290,7 @@ pub enum ParseOutcome {
 }
 
 /// Incrementally parse one request from the front of `buf` — the reactor's
-/// nonblocking counterpart of [`read_request`], same grammar, same errors.
+/// nonblocking request reader.
 ///
 /// Call after every socket read; on [`ParseOutcome::Request`] /
 /// [`ParseOutcome::Error`] drain `consumed` bytes and call again (request
@@ -404,8 +323,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
             };
         }
         // A blank line terminates the head — except as the very first line,
-        // where it *is* the (malformed) request line, matching the stream
-        // reader's behaviour.
+        // where it *is* the (malformed) request line.
         if line.is_empty() && !lines.is_empty() {
             break pos;
         }
@@ -430,43 +348,6 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
         // Body bytes still in flight (content_length ≤ max_body here, so
         // the wait is bounded).
         None => ParseOutcome::NeedMore,
-    }
-}
-
-enum LineError {
-    TooLong,
-    Io(io::Error),
-}
-
-/// Read one CRLF- (or bare-LF-) terminated line as UTF-8-lossy text,
-/// bounded by `limit` bytes. `Ok(None)` = clean EOF before any byte.
-fn read_line_limited(stream: &mut impl BufRead, limit: usize) -> Result<Option<String>, LineError> {
-    let mut buf = Vec::new();
-    loop {
-        if buf.len() > limit {
-            return Err(LineError::TooLong);
-        }
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(LineError::Io(io::Error::from(io::ErrorKind::UnexpectedEof)));
-            }
-            Ok(_) => {
-                let [b] = byte;
-                if b == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
-                }
-                buf.push(b);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(LineError::Io(e)),
-        }
     }
 }
 
@@ -576,8 +457,139 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle {
+    //! The blocking stream reader: reads a request line by line off a
+    //! `BufRead`. Kept only to check [`parse_request`](super::parse_request)
+    //! against.
+
+    use super::{head_too_large, parse_head, HttpError, Request, MAX_HEAD_BYTES};
+    use std::io::{self, BufRead};
+
+    /// What happened while reading a request off the stream.
+    pub(crate) enum ReadOutcome {
+        /// A complete, well-formed request.
+        Request(Box<Request>),
+        /// The peer closed between requests — normal keep-alive termination,
+        /// nothing to send.
+        Closed,
+        /// No byte arrived within the stream's read timeout.
+        Timeout,
+        /// A protocol violation; send this error and honour its `keep_alive`.
+        Error(HttpError),
+    }
+
+    fn truncated_head(detail: &str) -> HttpError {
+        HttpError::closing(400, "truncated_request", detail.to_string())
+    }
+
+    /// Read one request from a buffered stream.
+    ///
+    /// `max_body` bounds `Content-Length`; the head section is bounded by
+    /// [`MAX_HEAD_BYTES`]. A timeout before the first byte surfaces as
+    /// [`ReadOutcome::Timeout`], other first-byte IO errors as
+    /// [`ReadOutcome::Closed`], and truncation mid-request as a `400`.
+    pub(crate) fn read_request(stream: &mut impl BufRead, max_body: usize) -> ReadOutcome {
+        let line = match read_line_limited(stream, MAX_HEAD_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) => return ReadOutcome::Closed,
+            Err(LineError::TooLong) => return ReadOutcome::Error(head_too_large()),
+            Err(LineError::Io(e))
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return ReadOutcome::Timeout;
+            }
+            Err(LineError::Io(_)) => return ReadOutcome::Closed,
+        };
+        let mut head_budget = MAX_HEAD_BYTES.saturating_sub(line.len());
+        let mut lines = vec![line];
+        loop {
+            let line = match read_line_limited(stream, head_budget) {
+                Ok(Some(line)) => line,
+                Ok(None) => {
+                    return ReadOutcome::Error(truncated_head(
+                        "connection closed inside the header section",
+                    ));
+                }
+                Err(LineError::TooLong) => return ReadOutcome::Error(head_too_large()),
+                Err(LineError::Io(_)) => {
+                    return ReadOutcome::Error(truncated_head(
+                        "stream error inside the header section",
+                    ));
+                }
+            };
+            if line.is_empty() {
+                break;
+            }
+            head_budget = head_budget.saturating_sub(line.len());
+            lines.push(line);
+        }
+        let head = match parse_head(&lines, max_body) {
+            Ok(head) => head,
+            Err(e) => return ReadOutcome::Error(e),
+        };
+        let mut body = vec![0u8; head.content_length];
+        if stream.read_exact(&mut body).is_err() {
+            return ReadOutcome::Error(HttpError::closing(
+                400,
+                "truncated_body",
+                format!(
+                    "connection closed before {} body bytes arrived",
+                    head.content_length
+                ),
+            ));
+        }
+        ReadOutcome::Request(Box::new(head.into_request(body)))
+    }
+
+    enum LineError {
+        TooLong,
+        Io(io::Error),
+    }
+
+    /// Read one CRLF- (or bare-LF-) terminated line as UTF-8-lossy text,
+    /// bounded by `limit` bytes. `Ok(None)` = clean EOF before any byte.
+    fn read_line_limited(
+        stream: &mut impl BufRead,
+        limit: usize,
+    ) -> Result<Option<String>, LineError> {
+        let mut buf = Vec::new();
+        loop {
+            if buf.len() > limit {
+                return Err(LineError::TooLong);
+            }
+            let mut byte = [0u8; 1];
+            match stream.read(&mut byte) {
+                Ok(0) => {
+                    if buf.is_empty() {
+                        return Ok(None);
+                    }
+                    return Err(LineError::Io(io::Error::from(io::ErrorKind::UnexpectedEof)));
+                }
+                Ok(_) => {
+                    let [b] = byte;
+                    if b == b'\n' {
+                        if buf.last() == Some(&b'\r') {
+                            buf.pop();
+                        }
+                        return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
+                    }
+                    buf.push(b);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(LineError::Io(e)),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{read_request, ReadOutcome};
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn read(raw: &[u8]) -> ReadOutcome {
@@ -686,13 +698,18 @@ mod tests {
         );
     }
 
-    /// Drive `parse_request` the way the reactor does: feed the bytes one
-    /// at a time and collect every completed request/error.
-    fn parse_all(raw: &[u8], max_body: usize) -> (Vec<Request>, Vec<HttpError>, usize) {
+    /// Drive `parse_request` the way the reactor does: append each chunk
+    /// to the receive buffer, then parse and drain until it needs more
+    /// bytes. Returns every completed request and error, and the number of
+    /// unparsed bytes left; a connection-closing error ends the stream.
+    fn feed<'a>(
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+        max_body: usize,
+    ) -> (Vec<Request>, Vec<HttpError>, usize) {
         let mut buf: Vec<u8> = Vec::new();
         let (mut requests, mut errors) = (Vec::new(), Vec::new());
-        for &b in raw {
-            buf.push(b);
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
             loop {
                 match parse_request(&buf, max_body) {
                     ParseOutcome::NeedMore => break,
@@ -712,6 +729,208 @@ mod tests {
             }
         }
         (requests, errors, buf.len())
+    }
+
+    /// [`feed`] one byte at a time.
+    fn parse_all(raw: &[u8], max_body: usize) -> (Vec<Request>, Vec<HttpError>, usize) {
+        feed(raw.chunks(1), max_body)
+    }
+
+    /// The stream reader over a whole byte stream: every request up to EOF
+    /// or the first connection-closing error.
+    fn read_all(raw: &[u8], max_body: usize) -> (Vec<Request>, Vec<HttpError>) {
+        let mut reader = BufReader::new(raw);
+        let (mut requests, mut errors) = (Vec::new(), Vec::new());
+        loop {
+            match read_request(&mut reader, max_body) {
+                ReadOutcome::Request(r) => requests.push(*r),
+                ReadOutcome::Error(e) => {
+                    let recoverable = e.keep_alive;
+                    errors.push(e);
+                    if !recoverable {
+                        break;
+                    }
+                }
+                ReadOutcome::Closed | ReadOutcome::Timeout => break,
+            }
+        }
+        (requests, errors)
+    }
+
+    /// Every field of a [`Request`], for field-by-field comparison.
+    type Fields = (
+        String,
+        String,
+        String,
+        Vec<(String, String)>,
+        Vec<u8>,
+        bool,
+        bool,
+    );
+
+    fn fields(r: &Request) -> Fields {
+        (
+            r.method.clone(),
+            r.path.clone(),
+            r.query.clone(),
+            r.headers.clone(),
+            r.body.clone(),
+            r.keep_alive,
+            r.http11,
+        )
+    }
+
+    /// Malformed requests and the typed error each must produce.
+    const MALFORMED: [&[u8]; 6] = [
+        b"GARBAGE\r\n\r\n",
+        b"GET / HTTP/2.0\r\n\r\n",
+        b"GET / HTTP/1.1\r\nbadheader\r\n\r\n",
+        b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        b"POST /x HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
+    ];
+
+    /// splitmix64: grows a request stream and its cut points from one
+    /// proptest-drawn seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+
+        /// `s` with each ASCII letter's case flipped at random.
+        fn scramble(&mut self, s: &str) -> String {
+            s.chars()
+                .map(|c| {
+                    if self.below(2) == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c.to_ascii_lowercase()
+                    }
+                })
+                .collect()
+        }
+
+        /// One valid GET or POST request as wire bytes, plus its body.
+        /// Method and header-name case, HTTP version, header spacing and
+        /// each line's CRLF or bare-LF ending all vary.
+        fn request(&mut self) -> (Vec<u8>, Vec<u8>) {
+            let post = self.below(2) == 0;
+            let method = self.scramble(if post { "POST" } else { "GET" });
+            let path = self.pick(&["/healthz", "/metrics", "/v1/score", "/v1/explain"]);
+            let query = self.pick(&["", "?verbose=1", "?a=1&b=x%20y"]);
+            let version = self.pick(&["HTTP/1.1", "HTTP/1.0"]);
+            // POST needs a body; GET carries one now and then.
+            let body: Vec<u8> = if post || self.below(4) == 0 {
+                (0..1 + self.below(40)).map(|_| self.next() as u8).collect()
+            } else {
+                Vec::new()
+            };
+            let mut headers: Vec<(&str, String)> = (0..self.below(4))
+                .map(|_| {
+                    let (name, value) = self.pick(&[
+                        ("Host", "localhost"),
+                        ("X-Tenant", "acme"),
+                        ("Accept", "*/*"),
+                        ("X-Trace", "a:b:c"),
+                        ("Connection", "keep-alive"),
+                        ("Connection", "close"),
+                    ]);
+                    (name, value.to_string())
+                })
+                .collect();
+            if !body.is_empty() {
+                headers.push(("Content-Length", body.len().to_string()));
+            }
+            let mut lines = vec![format!("{method} {path}{query} {version}")];
+            for (name, value) in headers {
+                let sep = self.pick(&[":", ": ", ":  "]);
+                lines.push(format!("{}{sep}{value}", self.scramble(name)));
+            }
+            lines.push(String::new()); // the blank line that ends the head
+            let mut raw = Vec::new();
+            for line in lines {
+                raw.extend_from_slice(line.as_bytes());
+                raw.extend_from_slice(self.pick(&["\r\n", "\n"]).as_bytes());
+            }
+            raw.extend_from_slice(&body);
+            (raw, body)
+        }
+
+        /// `raw` cut at up to seven random points (empty pieces allowed).
+        fn cut<'a>(&mut self, raw: &'a [u8]) -> Vec<&'a [u8]> {
+            let mut points: Vec<usize> = (0..self.below(8))
+                .map(|_| self.below(raw.len() as u64 + 1) as usize)
+                .collect();
+            points.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut start = 0;
+            for p in points {
+                pieces.push(&raw[start..p]);
+                start = p;
+            }
+            pieces.push(&raw[start..]);
+            pieces
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn pipelined_stream_parses_identically_under_any_split(seed in any::<u64>()) {
+            let mut mix = Mix(seed);
+            let (mut raw, mut bodies) = (Vec::new(), Vec::new());
+            for _ in 0..1 + mix.below(6) {
+                let (bytes, body) = mix.request();
+                raw.extend_from_slice(&bytes);
+                bodies.push(body);
+            }
+            let (oracle, oracle_errors) = read_all(&raw, 1024);
+            prop_assert!(oracle_errors.is_empty(), "{:?}", oracle_errors);
+            let want: Vec<Fields> = oracle.iter().map(fields).collect();
+            let got_bodies: Vec<Vec<u8>> = want.iter().map(|f| f.4.clone()).collect();
+            prop_assert_eq!(got_bodies, bodies);
+            for chunks in [vec![raw.as_slice()], mix.cut(&raw)] {
+                let (requests, errors, leftover) = feed(chunks, 1024);
+                prop_assert!(errors.is_empty(), "{:?}", errors);
+                prop_assert_eq!(leftover, 0);
+                prop_assert_eq!(requests.iter().map(fields).collect::<Vec<_>>(), want.clone());
+            }
+        }
+
+        #[test]
+        fn malformed_requests_error_identically_under_any_split(seed in any::<u64>()) {
+            let mut mix = Mix(seed);
+            // Valid requests may precede the malformed one on the stream.
+            let mut raw = Vec::new();
+            for _ in 0..mix.below(3) {
+                raw.extend_from_slice(&mix.request().0);
+            }
+            let bad = mix.pick(&MALFORMED);
+            raw.extend_from_slice(bad);
+            let (oracle, oracle_errors) = read_all(&raw, 1024);
+            prop_assert_eq!(oracle_errors.len(), 1);
+            let (requests, errors, _) = feed(mix.cut(&raw), 1024);
+            prop_assert_eq!(errors, oracle_errors);
+            prop_assert_eq!(
+                requests.iter().map(fields).collect::<Vec<_>>(),
+                oracle.iter().map(fields).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -761,14 +980,7 @@ mod tests {
 
     #[test]
     fn incremental_parser_errors_match_stream_reader_errors() {
-        for raw in [
-            b"GARBAGE\r\n\r\n".as_slice(),
-            b"GET / HTTP/2.0\r\n\r\n",
-            b"GET / HTTP/1.1\r\nbadheader\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
-        ] {
+        for raw in MALFORMED {
             let stream_err = error(raw);
             let (_, errs, _) = parse_all(raw, 1024);
             assert_eq!(errs.len(), 1, "{:?}", String::from_utf8_lossy(raw));

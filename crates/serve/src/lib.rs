@@ -6,9 +6,9 @@
 //! throughput and tail latency. Built entirely on `std::net` plus the
 //! workspace's vendored crates: no tokio, no hyper, no serde_json — the
 //! build environment has no registry access, and nothing here needs more
-//! than an accept loop, a bounded queue, and a worker pool.
+//! than an epoll loop, a bounded job queue, and a worker pool.
 //!
-//! ## Architecture (event mode, the default)
+//! ## Architecture
 //!
 //! ```text
 //!             ┌───────────────────────────────┐  bounded  ┌──────────────┐
@@ -29,8 +29,7 @@
 //!
 //! Sockets never hold threads: the event loop multiplexes every
 //! connection over one epoll instance, and the worker pool only ever sees
-//! parsed requests. `ServeMode::Threaded` keeps the original
-//! worker-per-connection design selectable as the benchmark baseline.
+//! parsed requests, so an idle keep-alive connection never pins a worker.
 //!
 //! * [`wire`] — a zero-dependency JSON wire format: a value model with a
 //!   deterministic serializer (insertion-ordered objects, shortest-round-trip
@@ -83,6 +82,6 @@ pub mod wire;
 
 pub use http::{HttpError, Request, Response};
 pub use ops::{LatencyHistogram, Route, ServerMetrics};
-pub use server::{AppState, Server, ServerHandle};
-pub use state::{ModelEntry, Registry, ServeConfig, ServeMode, StoreStats, TransferMode};
+pub use server::{AppState, Server};
+pub use state::{ModelEntry, Registry, ServeConfig, StoreStats, TransferMode};
 pub use wire::{Json, WireError};

@@ -42,40 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Which serving core handles sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Nonblocking epoll reactor: one event thread owns every socket,
-    /// CPU work runs on the worker pool, connections never pin threads.
-    /// Supports pipelining, idle timeouts, per-tenant rate limits, and
-    /// chunked streaming. The default.
-    Event,
-    /// The PR-3 worker-per-connection core: each accepted connection holds
-    /// a blocking worker thread for its whole keep-alive lifetime. Kept as
-    /// the baseline the load harness measures the reactor against.
-    Threaded,
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "event" => Ok(ServeMode::Event),
-            "threaded" => Ok(ServeMode::Threaded),
-            other => Err(format!("unknown serve mode `{other}` (event|threaded)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ServeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ServeMode::Event => "event",
-            ServeMode::Threaded => "threaded",
-        })
-    }
-}
-
 /// How first-touch resolution treats a store miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
@@ -113,9 +79,6 @@ impl std::fmt::Display for TransferMode {
 /// Serving configuration (model world + HTTP tunables).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Socket core: event-driven reactor (default) or the legacy
-    /// worker-per-connection pool.
-    pub mode: ServeMode,
     /// Dataset scale every registry entry is generated at.
     pub scale: Scale,
     /// Master seed: dataset generation, training, and CERTA's candidate
@@ -129,12 +92,15 @@ pub struct ServeConfig {
     pub explain_workers: usize,
     /// HTTP worker threads (0 = one per available core).
     pub http_workers: usize,
-    /// Bound on queued connections before the accept loop answers `503`.
+    /// Cap on live connections and on queued jobs: a connection beyond it
+    /// is answered `503` at the door, and a request that finds the job
+    /// queue full is answered `503` and its connection closed.
     pub queue_depth: usize,
     /// Bound on request bodies (`413` beyond it).
     pub max_body_bytes: usize,
-    /// Per-read socket timeout; idle keep-alive connections are dropped
-    /// after it so they cannot pin workers forever.
+    /// Idle timeout: the reactor reaps a connection with nothing in flight
+    /// and no bytes received for this long (counted in
+    /// `certa_serve_conn_timeouts_total`; zero disables reaping).
     pub read_timeout: Duration,
     /// Maximum pipelined requests queued per connection before the reactor
     /// stops reading from that socket (TCP backpressure; the overflow is
@@ -171,7 +137,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            mode: ServeMode::Event,
             scale: Scale::Smoke,
             seed: 7,
             tau: 100,
