@@ -9,14 +9,15 @@
 //! identical (pinned by `tests/memo_props.rs`, gated by `bench_featurize`).
 //!
 //! Featurization runs in two phases. [`Featurizer::views`] computes what a
-//! family needs of one record alone (DeepER: the record embedding;
-//! DeepMatcher: the record's token set; Ditto: its merged pieces), and
-//! [`Featurizer::combine`] turns two views into the pair's features.
-//! `features_with(u, v)` is `combine(view(u), view(v))`; a batch scorer
-//! builds one view per distinct record and combines them per pair, so a
-//! pivot shared by a whole lattice level is featurized once.
+//! family needs of each record of a batch alone (DeepER: the record
+//! embedding; DeepMatcher: the record's token set; Ditto: its trigram and
+//! token bitsets over the batch's dictionary), and [`Featurizer::combine`]
+//! turns two of a batch's views into the pair's features.
+//! `features_with(u, v)` is the batch `[u, v]`; a batch scorer builds one
+//! view per distinct record and combines them per pair, so a pivot shared
+//! by a whole lattice level is featurized once.
 
-use crate::ditto::{self, DittoView};
+use crate::ditto::{self, DittoViews};
 use crate::embedding::{cosine, HashedEmbedder};
 use crate::memo::{EmbedArtifact, FeatureMemo};
 use certa_core::{AttrValue, Dataset, Record, Split};
@@ -102,88 +103,79 @@ impl Featurizer {
     /// from `memo`. Bit-identical to [`Featurizer::features`].
     pub fn features_with(&self, u: &Record, v: &Record, memo: Option<&FeatureMemo>) -> Vec<f64> {
         let views = self.views(&[u, v], memo);
-        self.combine(&views[0], &views[1], memo)
+        self.combine(&views, 0, 1, memo)
     }
 
-    /// Phase one: everything this family needs of each record alone, one
-    /// view per record of `records`, in order.
+    /// Phase one: everything this family needs of each record of a batch
+    /// alone, one view per record of `records`, in order.
     pub(crate) fn views<'a>(
         &self,
         records: &[&'a Record],
         memo: Option<&FeatureMemo>,
-    ) -> Vec<RecordView<'a>> {
+    ) -> BatchViews<'a> {
         match self {
-            Featurizer::DeepEr { embedder } => records
-                .iter()
-                .map(|r| RecordView::DeepEr(embed_record(embedder, r, memo)))
-                .collect(),
-            Featurizer::DeepMatcher { arity, .. } => records
-                .iter()
-                .map(|r| {
-                    debug_assert_eq!(r.arity(), *arity);
-                    RecordView::DeepMatcher {
-                        values: r.values(),
-                        tokens: sorted_token_set(r.values().iter().flat_map(|v| v.clean_tokens())),
-                    }
-                })
-                .collect(),
-            Featurizer::Ditto { hasher } => ditto::views(hasher, records, memo)
-                .into_iter()
-                .map(RecordView::Ditto)
-                .collect(),
+            Featurizer::DeepEr { embedder } => BatchViews::DeepEr(
+                records
+                    .iter()
+                    .map(|r| embed_record(embedder, r, memo))
+                    .collect(),
+            ),
+            Featurizer::DeepMatcher { arity, .. } => BatchViews::DeepMatcher(
+                records
+                    .iter()
+                    .map(|r| {
+                        debug_assert_eq!(r.arity(), *arity);
+                        let tokens =
+                            sorted_token_set(r.values().iter().flat_map(|v| v.clean_tokens()));
+                        (r.values(), tokens)
+                    })
+                    .collect(),
+            ),
+            Featurizer::Ditto { hasher } => BatchViews::Ditto(ditto::views(hasher, records, memo)),
         }
     }
 
-    /// Phase two: the features of the pair whose records gave views `u`
-    /// and `v` (both from [`Featurizer::views`] of this featurizer).
+    /// Phase two: the features of the pair of records `a` and `b` of the
+    /// batch that gave `views` (from [`Featurizer::views`] of this
+    /// featurizer).
     ///
     /// # Panics
-    /// Panics when a view comes from another featurizer family.
+    /// Panics when the views come from another featurizer family, or when
+    /// `a` or `b` is not a record of the batch.
     pub(crate) fn combine(
         &self,
-        u: &RecordView<'_>,
-        v: &RecordView<'_>,
+        views: &BatchViews<'_>,
+        a: usize,
+        b: usize,
         memo: Option<&FeatureMemo>,
     ) -> Vec<f64> {
-        match (self, u, v) {
-            (Featurizer::DeepEr { embedder }, RecordView::DeepEr(eu), RecordView::DeepEr(ev)) => {
-                deeper_combine(embedder, eu, ev)
+        match (self, views) {
+            (Featurizer::DeepEr { embedder }, BatchViews::DeepEr(e)) => {
+                deeper_combine(embedder, &e[a], &e[b])
             }
-            (
-                Featurizer::DeepMatcher { corpus, arity },
-                RecordView::DeepMatcher {
-                    values: vu,
-                    tokens: tu,
-                },
-                RecordView::DeepMatcher {
-                    values: vv,
-                    tokens: tv,
-                },
-            ) => deepmatcher_combine(corpus, *arity, (vu, tu), (vv, tv), memo),
-            (Featurizer::Ditto { hasher }, RecordView::Ditto(du), RecordView::Ditto(dv)) => {
-                ditto::combine(hasher, du, dv)
+            (Featurizer::DeepMatcher { corpus, arity }, BatchViews::DeepMatcher(v)) => {
+                let ((vu, tu), (vv, tv)) = (&v[a], &v[b]);
+                deepmatcher_combine(corpus, *arity, (vu, tu), (vv, tv), memo)
             }
-            _ => panic!("record view from another featurizer family"),
+            (Featurizer::Ditto { hasher }, BatchViews::Ditto(d)) => ditto::combine(hasher, d, a, b),
+            _ => panic!("record views from another featurizer family"),
         }
     }
 }
 
-/// What one featurizer family needs of a single record: phase one of
-/// [`Featurizer::features_with`].
+/// What one featurizer family needs of each record of a batch: phase one
+/// of [`Featurizer::features_with`].
 #[derive(Debug)]
-pub(crate) enum RecordView<'a> {
-    /// DeepER: the record embedding.
-    DeepEr(Vec<f64>),
-    /// DeepMatcher: the values (similarity columns are per value pair) and
-    /// the record's distinct cleaned tokens, sorted.
-    DeepMatcher {
-        /// The record's values, in schema order.
-        values: &'a [AttrValue],
-        /// Sorted distinct cleaned tokens over all values.
-        tokens: Vec<&'a str>,
-    },
-    /// Ditto: the record's merged serialization pieces.
-    Ditto(DittoView),
+pub(crate) enum BatchViews<'a> {
+    /// DeepER: each record's embedding.
+    DeepEr(Vec<Vec<f64>>),
+    /// DeepMatcher: each record's values, in schema order (similarity
+    /// columns are per value pair), and its distinct cleaned tokens over
+    /// all values, sorted.
+    DeepMatcher(Vec<(&'a [AttrValue], Vec<&'a str>)>),
+    /// Ditto: each record's trigram and token bitsets over the batch's
+    /// dictionary.
+    Ditto(DittoViews),
 }
 
 /// Featurizer family tag (mirrors the model zoo).

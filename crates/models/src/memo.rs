@@ -19,8 +19,9 @@
 //!   record serialization, with its distinct tokens (byte ranges into the
 //!   segment, their hashed `both:`/`only:` slots precomputed) and its packed
 //!   trigram set, keyed by `(attr, ValueId, last)` — the last attribute's
-//!   piece is trimmed. A record's Ditto view is a merge of its pieces
-//!   (see `ditto.rs`).
+//!   piece is trimmed, an inner piece's trigrams include those spanning the
+//!   junction with the next piece. A batch's Ditto views are bitsets over
+//!   the distinct trigrams and tokens of its pieces (see `ditto.rs`).
 //!
 //! ## Persistence
 //!

@@ -173,8 +173,7 @@ impl Matcher for ErModel {
         let memo = self.memo.as_deref();
         let (records, index) = distinct_records(pairs);
         let views = self.featurizer.views(&records, memo);
-        let features =
-            |&(a, b): &(usize, usize)| self.featurizer.combine(&views[a], &views[b], memo);
+        let features = |&(a, b): &(usize, usize)| self.featurizer.combine(&views, a, b, memo);
         if pairs.len() < certa_ml::kernels::LANES {
             // Narrower than one lane block, the SoA kernel only runs its
             // remainder loop: the per-pair pass of `score` is cheaper here

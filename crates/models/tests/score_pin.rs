@@ -7,10 +7,14 @@
 //! a kernel rewrite under the featurizers (trigram, token-set, Jaro-Winkler,
 //! TF-IDF) cannot drift silently. If a change is *meant* to move scores,
 //! re-record the constants and say why in the change log.
+//!
+//! The workload is scored both as one batch and pair by pair through
+//! `Matcher::score`, and both must fold to the same constants: featurizing
+//! a pair inside a large batch and on its own give the same bits.
 
 use certa_core::{Dataset, Matcher, Record, Split};
 use certa_datagen::{generate, DatasetId, Scale};
-use certa_models::{train_model, ModelKind, TrainConfig};
+use certa_models::{train_model, ErModel, ModelKind, TrainConfig};
 
 /// Labeled pairs scored directly: the test split, then the train split.
 const PAIRS: usize = 16;
@@ -63,25 +67,44 @@ fn workload(d: &Dataset) -> Vec<(Record, Record)> {
     out
 }
 
-fn scores(kind: ModelKind, d: &Dataset, pairs: &[(Record, Record)]) -> Vec<f64> {
-    let (model, _) = train_model(kind, d, &TrainConfig::for_kind(kind));
-    let refs: Vec<(&Record, &Record)> = pairs.iter().map(|(u, v)| (u, v)).collect();
-    model.score_batch(&refs)
-}
-
-#[test]
-fn ditto_and_deepmatcher_scores_are_pinned() {
+/// The Ditto and DeepMatcher digests of the workload, each model trained
+/// afresh and scored by `score`.
+fn digests(score: impl Fn(&ErModel, &[(&Record, &Record)]) -> Vec<f64>) -> (u64, u64) {
     let d = world();
     let pairs = workload(&d);
     let arity = d.left().schema().arity();
     assert_eq!(pairs.len(), PAIRS + TRIANGLES * ((1 << arity) - 1));
+    let refs: Vec<(&Record, &Record)> = pairs.iter().map(|(u, v)| (u, v)).collect();
+    let digest_of = |kind| {
+        let (model, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
+        digest(&score(&model, &refs))
+    };
+    (
+        digest_of(ModelKind::Ditto),
+        digest_of(ModelKind::DeepMatcher),
+    )
+}
 
-    let ditto = digest(&scores(ModelKind::Ditto, &d, &pairs));
-    let deepmatcher = digest(&scores(ModelKind::DeepMatcher, &d, &pairs));
+#[test]
+fn ditto_and_deepmatcher_scores_are_pinned() {
+    let (ditto, deepmatcher) = digests(|model, pairs| model.score_batch(pairs));
     assert_eq!(
         (ditto, deepmatcher),
         (DITTO_DIGEST, DEEPMATCHER_DIGEST),
         "score digests moved: {ditto:#018x} / {deepmatcher:#018x}"
+    );
+}
+
+/// Pair by pair, every call featurizes a batch of two records; the scores
+/// must still fold to the batch's digests.
+#[test]
+fn per_pair_scores_fold_to_the_pinned_digests() {
+    let (ditto, deepmatcher) =
+        digests(|model, pairs| pairs.iter().map(|(u, v)| model.score(u, v)).collect());
+    assert_eq!(
+        (ditto, deepmatcher),
+        (DITTO_DIGEST, DEEPMATCHER_DIGEST),
+        "per-pair score digests moved: {ditto:#018x} / {deepmatcher:#018x}"
     );
 }
 

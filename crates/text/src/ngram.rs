@@ -1,23 +1,18 @@
 //! Character-trigram-set similarity.
 //!
-//! Trigrams are packed into `u64`s and kept as sorted, deduplicated sets, so
-//! a caller that assembles a string from parts can also assemble its set:
-//! [`packed_trigrams`] of each part, [`pack_trigram`] for the grams that
-//! span a boundary, then sort and dedup the union. [`trigram_set_sim`]
-//! compares two such sets exactly as [`trigram_sim`] compares the strings.
+//! Trigrams are packed into `u64`s (`c0 << 42 | c1 << 21 | c2`) and kept as
+//! sorted, deduplicated sets. A string made of parts of three or more chars
+//! has as its set the union of each part's, taken with the next part's
+//! first two chars appended: every gram spanning a boundary starts in the
+//! part before it.
 
 /// Tag bit of the single gram a string shorter than three chars yields.
 const SHORT: u64 = 1 << 63;
 /// The low 63 bits: three 21-bit Unicode scalars.
 const WINDOW: u64 = SHORT - 1;
 
-/// One character trigram packed as `c0 << 42 | c1 << 21 | c2`.
-pub fn pack_trigram(c0: char, c1: char, c2: char) -> u64 {
-    u64::from(c0) << 42 | u64::from(c1) << 21 | u64::from(c2)
-}
-
 /// The sorted, deduplicated set of `s`'s character trigrams, each packed
-/// by [`pack_trigram`]. A non-empty string shorter than three chars yields
+/// as `c0 << 42 | c1 << 21 | c2`. A non-empty string shorter than three chars yields
 /// one gram: [`SHORT`] | its char count `<< 42` | its packed chars. An empty
 /// string yields no gram.
 pub fn packed_trigrams(s: &str) -> Vec<u64> {
@@ -56,7 +51,7 @@ fn sorted_intersection(a: &[u64], b: &[u64]) -> usize {
 /// when both are empty, 0.0 when only one is. A string is empty exactly
 /// when its set is, so `trigram_set_sim(&packed_trigrams(a),
 /// &packed_trigrams(b))` is [`trigram_sim`]`(a, b)`, bit for bit.
-pub fn trigram_set_sim(a: &[u64], b: &[u64]) -> f64 {
+fn trigram_set_sim(a: &[u64], b: &[u64]) -> f64 {
     match (a.is_empty(), b.is_empty()) {
         (true, true) => return 1.0,
         (true, false) | (false, true) => return 0.0,
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(trigram_sim("\0\0\0", "\0\0\0\0"), 1.0);
         assert_eq!(
             packed_trigrams("a\u{10FFFF}\0"),
-            vec![pack_trigram('a', '\u{10FFFF}', '\0')]
+            vec![u64::from('a') << 42 | u64::from('\u{10FFFF}') << 21]
         );
         assert_eq!(trigram_set_sim(&[], &[]), 1.0);
         assert_eq!(trigram_set_sim(&packed_trigrams("abc"), &[]), 0.0);
@@ -267,23 +262,21 @@ mod tests {
             assert_matches_oracle(&a, &b)?;
         }
 
-        /// A string's set is the union of its parts' sets plus the two
-        /// grams spanning each boundary, when every part has three or more
-        /// chars (no gram spans three parts, and no part yields a short
-        /// gram).
+        /// A string's set is the union of its parts' sets, each part taken
+        /// with the next part's first two chars appended, when every part
+        /// has three or more chars (no gram spans three parts, and no part
+        /// yields a short gram).
         #[test]
         fn parts_assemble_to_the_whole(
             parts in proptest::collection::vec("[\0-\u{2}ab\u{E9}\u{1F600}\u{10FFFF} ]{3,8}", 1..6),
         ) {
             let mut grams: Vec<u64> = Vec::new();
             for (i, part) in parts.iter().enumerate() {
-                grams.extend(packed_trigrams(part));
+                let mut extended = part.clone();
                 if let Some(next) = parts.get(i + 1) {
-                    let tail: Vec<char> = part.chars().rev().take(2).collect();
-                    let head: Vec<char> = next.chars().take(2).collect();
-                    grams.push(pack_trigram(tail[1], tail[0], head[0]));
-                    grams.push(pack_trigram(tail[0], head[0], head[1]));
+                    extended.extend(next.chars().take(2));
                 }
+                grams.extend(packed_trigrams(&extended));
             }
             grams.sort_unstable();
             grams.dedup();
